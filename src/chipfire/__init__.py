@@ -14,6 +14,7 @@ from .errors import (
     BudgetExceeded,
     ChipfireError,
     DimensionError,
+    InvalidBase,
     InvalidGraph,
     NotArithmetical,
     NotPrimitive,
@@ -31,7 +32,7 @@ from .graph_core import (
     laplacian,
     period_vector,
 )
-from .rank_extremes import enumerate_extremes, in_sigma, rank, rank_fast
+from .rank_extremes import enumerate_extremes, in_sigma, rank
 from .reduction import all_reduced_representatives, dhar, is_reduced, reduce
 from .riemann_roch import crit_points, natural_divisor, rr_verdict
 from .sandpile import is_recurrent, minimal_recurrents, stabilize

@@ -128,7 +128,7 @@ def cmd_dhar(args):
             "terminal": list(trace.terminal),
             "reduced": not any(trace.terminal),
             "witnesses": [list(w) for w in trace.reduced_witnesses],
-            "steps": len(trace.steps),
+            "steps": sum(game.period) - sum(trace.terminal),
         }
     )
     return 0

@@ -17,6 +17,10 @@ class DimensionError(ChipfireError):
     """Vector dimension does not match the graph."""
 
 
+class InvalidBase(ChipfireError):
+    """Base vertex outside range(n)."""
+
+
 class ZeroStrategy(ChipfireError):
     """Natural form is undefined for the zero strategy."""
 

@@ -14,18 +14,31 @@ The column game has F = Q^T, S = 1, w = R.  The chip game on an arithmetical
 graph (G, R) has F = Q = diag(delta) - A, S = w = R.
 """
 
-from .errors import DimensionError
+from .errors import DimensionError, InvalidBase
 from .graph_core import LatticeHandle, laplacian, period_vector
 
 
 class Game:
-    """Immutable chip-firing game; carries its equivalence lattice and caches."""
+    """Immutable chip-firing game; carries its equivalence lattice and caches.
+
+    Every firing row has a positive diagonal entry and no positive entry off
+    it: firing a vertex sends chips only outward.  The bulk steps of Dhar's
+    algorithm and of stabilization rely on this.
+    """
 
     def __init__(self, firing_rows, period, weight):
         n = len(firing_rows)
         if len(period) != n or len(weight) != n or any(len(r) != n for r in firing_rows):
             raise DimensionError("game components must have matching dimensions")
         self.firing_rows = tuple(tuple(r) for r in firing_rows)
+        if any(
+            (x <= 0) if i == j else (x > 0)
+            for i, row in enumerate(self.firing_rows)
+            for j, x in enumerate(row)
+        ):
+            raise ValueError(
+                "firing rows need a positive diagonal and off-diagonal entries <= 0"
+            )
         self.period = tuple(period)
         self.weight = tuple(weight)
         self.n_vertices = n
@@ -39,6 +52,8 @@ class Game:
             raise ValueError("firing lattice must have corank 1")
         self.sigma_cache = {}
         self.reduced_cache = {}
+        self.rank_cache = {}
+        self.eff_class_cache = []
 
     def apply(self, divisor, strategy):
         """D - sum_j f[j] F[j], exact."""
@@ -50,6 +65,11 @@ class Game:
                 for i, x in enumerate(row):
                     out[i] -= fj * x
         return tuple(out)
+
+    def check_base(self, base):
+        """Raise InvalidBase unless the base is a vertex index in range(n)."""
+        if not 0 <= base < self.n_vertices:
+            raise InvalidBase(f"base {base} is not in range({self.n_vertices})")
 
     def threshold(self, v):
         """Diagonal entry F[v][v]: chips lost at v when v fires once."""

@@ -47,83 +47,40 @@ def in_sigma(game, base, divisor):
     return cached
 
 
-def _effective_of_degree(weight, target):
-    """All effective divisors of exact weighted degree, lexicographically."""
+def _effective_classes_by_degree(game, target):
+    """Residues of effective-divisor classes of one weighted degree, cached.
 
-    def rec(prefix, idx, remaining):
-        if idx == len(weight) - 1:
-            q, r = divmod(remaining, weight[idx])
-            if r == 0:
-                yield tuple(prefix + [q])
-            return
-        w = weight[idx]
-        for e in range(remaining // w + 1):
-            yield from rec(prefix + [e], idx + 1, remaining - e * w)
-
-    yield from rec([], 0, target)
+    Built by the one-chip recursion: every effective divisor of degree d is an
+    effective divisor of degree d - w[v] plus one chip at v.
+    """
+    cache = game.eff_class_cache
+    lat = game.lattice
+    n = game.n_vertices
+    if not cache:
+        cache.append({lat.residue((0,) * n)})
+    for d in range(len(cache), target + 1):
+        found = set()
+        for v in range(n):
+            prev = d - game.weight[v]
+            if prev >= 0:
+                for res in cache[prev]:
+                    bumped = list(res)
+                    bumped[v] += 1
+                    found.add(lat.residue(bumped))
+        cache.append(found)
+    return cache[target]
 
 
 def rank(game, base, divisor):
     """The rank: min weighted degree of effective E with D - E in Sigma, minus 1.
 
-    Enumerates effective E by nondecreasing weighted degree, lexicographic
-    within a degree; the first hit is the minimum.
+    Works on lattice residues, memoized per class: the Sigma test and the
+    degree are both class invariants, and the effective classes of each
+    degree come from the one-chip recursion.
     """
-    if in_sigma(game, base, divisor):
-        return -1
-    deg = degree(game.weight, divisor)
-    d = 0
-    while True:
-        d += 1
-        if deg - d < 0:
-            # Any effective E of this degree drives the degree negative.
-            if any(True for _ in _effective_of_degree(game.weight, d)):
-                return d - 1
-            continue
-        for eff in _effective_of_degree(game.weight, d):
-            cand = tuple(a - b for a, b in zip(divisor, eff))
-            if in_sigma(game, base, cand):
-                return d - 1
-
-
-def _effective_classes_by_degree(game, target):
-    """Residues of effective-divisor classes, per weighted degree, cached.
-
-    Built by the one-chip recursion: every effective divisor of degree d is an
-    effective divisor of degree d - w[v] plus one chip at v.
-    """
-    cache = getattr(game, "_eff_class_cache", None)
-    if cache is None:
-        cache = {0: {game.lattice.residue((0,) * game.n_vertices)}}
-        game._eff_class_cache = cache
-    lat = game.lattice
-    n = game.n_vertices
-    for d in range(max(cache) + 1, target + 1):
-        found = set()
-        for v in range(n):
-            prev = d - game.weight[v]
-            if prev >= 0:
-                for res in cache.get(prev, ()):
-                    bumped = list(res)
-                    bumped[v] += 1
-                    found.add(lat.residue(bumped))
-        cache[d] = found
-    return cache.get(target, set())
-
-
-def rank_fast(game, base, divisor):
-    """Rank computed at class level: agrees with rank, memoized per class.
-
-    Works on lattice residues: the Sigma test and the degree are both class
-    invariants, and the effective test classes per degree come from the
-    one-chip recursion rather than a full composition scan.
-    """
-    lat = game.lattice
-    res = lat.residue(divisor)
-    memo = getattr(game, "_rank_cache", None)
-    if memo is None:
-        memo = {}
-        game._rank_cache = memo
+    game.check_base(base)
+    res = game.lattice.residue(divisor)
+    memo = game.rank_cache
     if res in memo:
         return memo[res]
     value = None
@@ -170,6 +127,7 @@ def enumerate_extremes(game, base, budget=10_000_000):
     reduced, in Sigma, and extreme; classes are deduplicated by their full
     representative sets.
     """
+    game.check_base(base)
     n = game.n_vertices
     others = [v for v in range(n) if v != base]
     total = prod(game.threshold(v) for v in others)

@@ -10,7 +10,9 @@ from . import games as _games
 class DharTrace:
     """Record of one run of the generalized Dhar's algorithm.
 
-    steps: ordered (strategy after the step, decremented vertex) pairs.
+    steps: ordered (strategy after the step, decremented vertex) pairs, one
+    per bulk step: a debtor drops all its forced decrements at once, the base
+    one at a time.
     terminal: the final strategy; zero iff the input divisor is reduced.
     reduced_witnesses: the divisor D - f F at each base-vertex decrement;
     these are reduced divisors equivalent to D.
@@ -21,70 +23,58 @@ class DharTrace:
     reduced_witnesses: tuple
 
 
-def _check_sandpile_form(base, divisor):
+def check_sandpile_form(game, base, divisor):
+    """Raise unless the base is a vertex and the divisor is nonnegative off it."""
+    game.check_base(base)
     if any(d < 0 for v, d in enumerate(divisor) if v != base):
         raise NotSandpileForm("divisor must be nonnegative away from the base")
 
 
-def dhar(game, base, divisor):
-    """Run the generalized Dhar's algorithm, recording the full trace.
+def _burn(game, base, divisor, steps=None, witnesses=None):
+    """The generalized Dhar loop; returns the terminal strategy.
 
-    Start at f = S.  While some non-base vertex is in debt under D - f F,
-    decrement the lowest such vertex; otherwise decrement the base while its
-    count is positive, recording the current divisor as a reduced witness.
+    Start at f = S.  While some non-base vertex v is in debt under D - f F,
+    decrement f[v] by ceil(debt / F[v][v]) at once; otherwise decrement the
+    base while its count is positive.  Un-firing one vertex never lifts
+    another out of debt (off-diagonal entries are <= 0), so each of those
+    decrements is forced and the terminal equals the unit-step loop's.
+    Without a trace the base drops to 0 in one step, since the loop only
+    stops there; with one (``steps`` and ``witnesses`` lists) the base steps
+    by one, recording D - f F before each base decrement as a reduced witness.
     """
-    _check_sandpile_form(base, divisor)
+    check_sandpile_form(game, base, divisor)
     n = game.n_vertices
     rows = game.firing_rows
     f = list(game.period)
     current = list(divisor)  # D - f F with f = S is D itself
-    steps = []
-    witnesses = []
     while True:
-        debtor = next(
-            (v for v in range(n) if v != base and current[v] <= -1), None
-        )
-        if debtor is not None:
-            if f[debtor] <= 0:
-                raise AssertionError("Dhar strategy went negative")
-            f[debtor] -= 1
-            row = rows[debtor]
-            for i in range(n):
-                current[i] += row[i]
-            steps.append((tuple(f), debtor))
+        v = next((u for u in range(n) if u != base and current[u] < 0), None)
+        if v is not None:
+            k = -(current[v] // rows[v][v])
         elif f[base] > 0:
-            witnesses.append(tuple(current))
-            f[base] -= 1
-            row = rows[base]
-            for i in range(n):
-                current[i] += row[i]
-            steps.append((tuple(f), base))
+            v = base
+            if witnesses is None:
+                k = f[base]
+            else:
+                k = 1
+                witnesses.append(tuple(current))
         else:
-            break
-    return DharTrace(tuple(steps), tuple(f), tuple(witnesses))
-
-
-def _dhar_terminal(game, base, divisor):
-    """Terminal strategy of Dhar's algorithm, without trace bookkeeping."""
-    _check_sandpile_form(base, divisor)
-    n = game.n_vertices
-    rows = game.firing_rows
-    f = list(game.period)
-    current = list(divisor)
-    while True:
-        debtor = next(
-            (v for v in range(n) if v != base and current[v] <= -1), None
-        )
-        if debtor is None and f[base] <= 0:
             return f
-        if debtor is None:
-            debtor = base
-        if f[debtor] <= 0:
+        if f[v] < k:
             raise AssertionError("Dhar strategy went negative")
-        f[debtor] -= 1
-        row = rows[debtor]
+        f[v] -= k
+        row = rows[v]
         for i in range(n):
-            current[i] += row[i]
+            current[i] += k * row[i]
+        if steps is not None:
+            steps.append((tuple(f), v))
+
+
+def dhar(game, base, divisor):
+    """Run the generalized Dhar's algorithm, recording the full trace."""
+    steps, witnesses = [], []
+    terminal = _burn(game, base, divisor, steps, witnesses)
+    return DharTrace(tuple(steps), tuple(terminal), tuple(witnesses))
 
 
 def is_reduced(game, base, divisor):
@@ -92,7 +82,7 @@ def is_reduced(game, base, divisor):
     key = (base, tuple(divisor))
     cached = game.reduced_cache.get(key)
     if cached is None:
-        cached = not any(_dhar_terminal(game, base, divisor))
+        cached = not any(_burn(game, base, divisor))
         game.reduced_cache[key] = cached
     return cached
 
@@ -128,6 +118,7 @@ def reduce(game, base, divisor):
     so a single descending pass leaves everything except the base nonnegative.
     Step 2 applies failing Dhar terminals until the divisor is reduced.
     """
+    game.check_base(base)
     n = game.n_vertices
     rows = game.firing_rows
     dist = _bfs_layers(game, base)
@@ -146,7 +137,7 @@ def reduce(game, base, divisor):
             for i in range(n):
                 current[i] -= need * row[i]
     while True:
-        terminal = _dhar_terminal(game, base, current)
+        terminal = _burn(game, base, current)
         if not any(terminal):
             break
         for v in range(n):

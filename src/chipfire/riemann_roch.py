@@ -7,7 +7,7 @@ from itertools import product
 from .divisor_algebra import degree, equivalent
 from .games import scaled_game
 from .graph_core import lattice_membership
-from .rank_extremes import enumerate_extremes, rank_fast
+from .rank_extremes import enumerate_extremes, rank
 from .reduction import all_reduced_representatives
 
 
@@ -153,7 +153,7 @@ def rr_formula_check(game, base, report, sample_box):
         if res in seen:
             continue
         seen.add(res)
-        lhs = rank_fast(game, base, res) - rank_fast(
+        lhs = rank(game, base, res) - rank(
             game, base, tuple(a - b for a, b in zip(k, res))
         )
         if lhs != degree(game.weight, res) - g + 1:
@@ -178,7 +178,7 @@ def canonical_inequality_check(game, base, report, sample_box):
         if res in seen:
             continue
         seen.add(res)
-        diff = rank_fast(game, base, res) - rank_fast(
+        diff = rank(game, base, res) - rank(
             game, base, tuple(a - b for a, b in zip(k, res))
         )
         deg = degree(game.weight, res)

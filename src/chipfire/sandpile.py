@@ -3,16 +3,11 @@
 from itertools import product
 from math import prod
 
-from .errors import BudgetExceeded, NotSandpileForm, NotStable
+from .errors import BudgetExceeded, NotStable
 from .divisor_algebra import degree
 from .rank_extremes import in_sigma
-from .reduction import all_reduced_representatives, is_reduced
+from .reduction import all_reduced_representatives, check_sandpile_form, is_reduced
 from .riemann_roch import natural_divisor
-
-
-def _check_config(game, base, divisor):
-    if any(d < 0 for v, d in enumerate(divisor) if v != base):
-        raise NotSandpileForm("sandpile configuration must be nonnegative off the base")
 
 
 def is_stable(game, base, divisor):
@@ -26,10 +21,13 @@ def is_stable(game, base, divisor):
 def stabilize(game, base, divisor, step_cap=None):
     """Fire the lowest-index overfull non-base vertex until none remains.
 
-    Returns the stable configuration and the total firing vector.  The result
-    is independent of the firing order (asserted by tests, not assumed here).
+    An overfull vertex v fires floor(D(v) / F[v][v]) times at once: firing
+    other vertices only adds chips to v, so each of those firings stays
+    legal.  ``step_cap`` bounds the number of unit firings.  Returns the
+    stable configuration and the total firing vector.  The result is
+    independent of the firing order (asserted by tests, not assumed here).
     """
-    _check_config(game, base, divisor)
+    check_sandpile_form(game, base, divisor)
     n = game.n_vertices
     rows = game.firing_rows
     current = list(divisor)
@@ -46,11 +44,12 @@ def stabilize(game, base, divisor, step_cap=None):
         )
         if v is None:
             return tuple(current), tuple(fired)
+        k = current[v] // rows[v][v]
         row = rows[v]
         for i in range(n):
-            current[i] -= row[i]
-        fired[v] += 1
-        steps += 1
+            current[i] -= k * row[i]
+        fired[v] += k
+        steps += k
         if step_cap is not None and steps > step_cap:
             raise RuntimeError("stabilization exceeded the step cap")
 
@@ -64,7 +63,7 @@ def dual_divisor(game, divisor):
 
 def is_recurrent(game, base, divisor):
     """Recurrence via duality: D is recurrent iff threshold-1-D is reduced."""
-    _check_config(game, base, divisor)
+    check_sandpile_form(game, base, divisor)
     if not is_stable(game, base, divisor):
         raise NotStable("recurrence is defined for stable configurations")
     return is_reduced(game, base, dual_divisor(game, divisor))
@@ -74,7 +73,7 @@ def is_recurrent_oracle(game, base, divisor, headroom):
     """Bounded reachability check: search for an overfull configuration that
     stabilizes to D off the base.  One-sided: False may mean the headroom was
     too small."""
-    _check_config(game, base, divisor)
+    check_sandpile_form(game, base, divisor)
     if not is_stable(game, base, divisor):
         raise NotStable("recurrence is defined for stable configurations")
     n = game.n_vertices

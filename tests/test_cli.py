@@ -36,6 +36,21 @@ def exa_file(tmp_path):
 
 
 @pytest.fixture
+def exb_file(tmp_path):
+    """K4 with edge v2v3 subdivided twice, R = (2,4,3,3,3,3) (fixtures.ex_b)."""
+    edges = [[0, 1, 1], [0, 2, 1], [0, 3, 1], [1, 2, 1], [1, 3, 1],
+             [2, 4, 1], [4, 5, 1], [5, 3, 1]]
+    path = tmp_path / "exb.json"
+    path.write_text(json.dumps({
+        "type": "arithmetical",
+        "vertices": 6,
+        "edges": edges,
+        "multiplicities": [2, 4, 3, 3, 3, 3],
+    }))
+    return str(path)
+
+
+@pytest.fixture
 def two_vertex_file(tmp_path):
     path = tmp_path / "tv.json"
     path.write_text(json.dumps({
@@ -78,6 +93,41 @@ def test_dhar_reports_reducedness(capsys, t3_file):
     assert code == 0
     assert doc["reduced"] is True
     assert doc["witnesses"] == [[0, 0, 0]]
+
+
+@pytest.mark.parametrize("divisor,terminal,steps", [
+    ("0,0,0,0,0,0", [0, 0, 0, 0, 0, 0], 18),
+    ("2,1,1,1,1,1", [0, 2, 2, 2, 3, 3], 6),
+])
+def test_dhar_steps_count_unit_decrements(capsys, exb_file, divisor, terminal, steps):
+    """steps is sum(S) - sum(terminal), whatever the loop's step size."""
+    code, doc = run(capsys, ["dhar", exb_file, f"--divisor={divisor}"])
+    assert code == 0
+    assert doc["terminal"] == terminal
+    assert doc["steps"] == steps
+
+
+@pytest.mark.parametrize("base", ["7", "-1"])
+@pytest.mark.parametrize("command,divisor", [
+    (["dhar"], "0,0,0"),
+    (["reduce"], "0,0,0"),
+    (["rank"], "-1,0,0"),
+    (["extremes"], None),
+    (["sandpile", "recurrent"], "0,0,0"),
+    (["sandpile", "stabilize"], "1,1,1"),
+], ids=["dhar", "reduce", "rank", "extremes", "sandpile-recurrent", "sandpile-stabilize"])
+def test_base_outside_the_vertex_range_exits_2(t3_file, command, divisor, base):
+    """Run in a subprocess with a timeout: an unchecked base once made
+    stabilize fire every vertex forever."""
+    package_root = Path(importlib.import_module("chipfire").__file__).resolve().parents[1]
+    argv = [sys.executable, "-m", "chipfire.cli", *command, t3_file, f"--base={base}"]
+    if divisor is not None:
+        argv.append(f"--divisor={divisor}")
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=20,
+                          env=dict(os.environ, PYTHONPATH=str(package_root)))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"base {base} is not in range(3)" in proc.stderr
 
 
 def test_rank_command(capsys, t3_file):

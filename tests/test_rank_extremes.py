@@ -11,7 +11,6 @@ from chipfire.rank_extremes import (
     in_sigma,
     is_extreme,
     rank,
-    rank_fast,
     rank_via_extremes,
 )
 from chipfire.reduction import is_effective_class
@@ -34,7 +33,6 @@ def test_rank_agrees_with_bruteforce_and_extremes(name, game):
     extremes = enumerate_extremes(game, 0)
     for d in divisor_box(n, 2):
         r = rank(game, 0, d)
-        assert r == rank_fast(game, 0, d), d
         assert r == oracle_rank(game, 0, d, r), d
         # the translate box is one-sided: escalate until it settles
         via = rank_via_extremes(game, 0, d, 3, extremes=extremes)
@@ -58,21 +56,21 @@ GAME = chip_game(fixtures.ec(2))
 def test_rank_is_a_class_invariant(divisor, strategy):
     d = tuple(divisor)
     moved = apply_firing(GAME, d, tuple(strategy))
-    assert rank_fast(GAME, 0, d) == rank_fast(GAME, 0, moved)
+    assert rank(GAME, 0, d) == rank(GAME, 0, moved)
 
 
 @given(st.lists(st.integers(0, 3), min_size=4, max_size=4))
 @settings(max_examples=80, deadline=None)
 def test_effective_divisors_have_nonnegative_rank(divisor):
-    assert rank_fast(GAME, 0, tuple(divisor)) >= 0
+    assert rank(GAME, 0, tuple(divisor)) >= 0
 
 
 def test_rank_monotone_under_adding_chips():
     game = row_game(fixtures.k4u())
     for d in divisor_box(4, 1):
-        r = rank_fast(game, 0, d)
+        r = rank(game, 0, d)
         bumped = (d[0] + 1,) + d[1:]
-        assert rank_fast(game, 0, bumped) >= r
+        assert rank(game, 0, bumped) >= r
 
 
 def test_negative_degree_has_rank_minus_one():
