@@ -9,7 +9,7 @@ from .divisor_algebra import degree, equivalent
 from .games import Game, column_game, scaled_game
 from .graph_core import DirectedMultigraph
 from .rank_extremes import enumerate_extremes
-from .riemann_roch import rr_verdict
+from .riemann_roch import natural_divisor, rr_verdict
 
 
 @dataclass(frozen=True)
@@ -107,10 +107,6 @@ def chip_game(ag):
     return Game(ag.laplacian(), ag.multiplicities, ag.multiplicities)
 
 
-def chip_game_lattice(ag):
-    return chip_game(ag).lattice
-
-
 def column_rr_always(ag, base=0, budget=10_000_000):
     """Riemann-Roch verdict for the column game on the associated digraph."""
     game = column_game(associated_digraph(ag))
@@ -132,8 +128,7 @@ def digraph_natural_rr(ag, base=0, budget=10_000_000):
     transported = tuple(
         r * (k + 2) - 2 for r, k in zip(ag.multiplicities, report.canonical)
     )
-    naturals = tuple(scaled.threshold(v) - 2 for v in range(scaled.n_vertices))
-    return equivalent(scaled.lattice, transported, naturals)
+    return equivalent(scaled.lattice, transported, natural_divisor(scaled))
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,9 @@ import sys
 
 from . import arithmetical, fixtures, oracle, rank_extremes, reduction, riemann_roch, sandpile
 from .arithmetical import ArithmeticalGraph, chip_game
-from .divisor_algebra import degree
 from .errors import BudgetExceeded, ChipfireError
 from .games import column_game, row_game
-from .graph_core import DirectedMultigraph, is_strongly_connected, laplacian, period_vector
+from .graph_core import is_strongly_connected, period_vector
 from .graph_io import load_graph, parse_divisor
 
 DEFAULT_BUDGET = 10_000_000
@@ -46,35 +45,35 @@ def _emit(payload):
     sys.stdout.write("\n")
 
 
-def _fraction_str(value):
-    return str(value)
-
-
-def _report_json(report):
-    out = {
-        "uniform": report.uniform,
-        "reflection_invariant": report.reflection_invariant,
-        "rr": report.rr_property,
-        "natural_rr": report.natural_rr,
-        "g_min": report.extremes.g_min,
-        "g_max": report.extremes.g_max,
+def _extremes_json(extremes):
+    return {
         "classes": [
             {
                 "rep": list(c.rep),
                 "degree": c.degree,
                 "all_reps": [list(r) for r in c.all_reps],
             }
-            for c in report.extremes.classes
+            for c in extremes.classes
         ],
+        "g_min": extremes.g_min,
+        "g_max": extremes.g_max,
     }
+
+
+def _report_json(report):
+    out = _extremes_json(report.extremes)
+    out.update(
+        uniform=report.uniform,
+        reflection_invariant=report.reflection_invariant,
+        rr=report.rr_property,
+        natural_rr=report.natural_rr,
+    )
     if report.g is not None:
         out["g"] = report.g
     if report.canonical is not None:
         out["canonical"] = list(report.canonical)
     if report.reflection_witness is not None:
-        out["reflection_witness"] = [
-            _fraction_str(x) for x in report.reflection_witness
-        ]
+        out["reflection_witness"] = [str(x) for x in report.reflection_witness]
     return out
 
 
@@ -148,20 +147,7 @@ def cmd_extremes(args):
     extremes = rank_extremes.enumerate_extremes(
         game, args.base, budget=_budget(args)
     )
-    _emit(
-        {
-            "classes": [
-                {
-                    "rep": list(c.rep),
-                    "degree": c.degree,
-                    "all_reps": [list(r) for r in c.all_reps],
-                }
-                for c in extremes.classes
-            ],
-            "g_min": extremes.g_min,
-            "g_max": extremes.g_max,
-        }
-    )
+    _emit(_extremes_json(extremes))
     return 0
 
 
@@ -199,6 +185,8 @@ def cmd_sandpile(args):
 
 def cmd_arith(args):
     if args.action == "star":
+        if args.r0 is None or args.r1 is None:
+            raise ChipfireError("arith star needs --r0 and --r1")
         ag = fixtures.star(args.r0, args.r1)
         _emit(
             {
@@ -241,6 +229,9 @@ def cmd_arith(args):
 def cmd_oracle(args):
     graph = load_graph(args.graph)
     game = _game_for(graph, args.game)
+    game.check_base(args.base)
+    if args.box < 0:
+        raise ChipfireError(f"--box must be nonnegative, got {args.box}")
     divisor = _divisor(args, game)
     if args.action == "rank":
         _emit({"rank": oracle.rank_bruteforce(game, args.base, divisor, box=args.box)})
@@ -283,7 +274,6 @@ def build_parser():
 
     p = sub.add_parser("extremes")
     _add_common(p, divisor=False)
-    p.add_argument("--json", action="store_true", help="ignored; output is always JSON")
     p.set_defaults(func=cmd_extremes)
 
     p = sub.add_parser("rr-check")

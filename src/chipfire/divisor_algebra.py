@@ -1,14 +1,8 @@
-"""Divisors, degrees, firing strategies, natural form, and equivalence."""
+"""Divisor degrees, equivalence, natural form, and valid strategies."""
 
 from itertools import product
 
 from .errors import DimensionError, ZeroStrategy
-from .graph_core import lattice_membership
-
-
-def apply_firing(game, divisor, strategy):
-    """Play strategy f: returns D - sum_j f[j] F[j]."""
-    return game.apply(divisor, strategy)
 
 
 def degree(weight, divisor):
@@ -27,7 +21,7 @@ def degree_plus(weight, divisor):
 
 def equivalent(lattice, d1, d2):
     """True iff D1 - D2 lies in the lattice."""
-    return lattice_membership(lattice, [a - b for a, b in zip(d1, d2)])
+    return lattice.contains([a - b for a, b in zip(d1, d2)])
 
 
 def natural_form(period, strategy):

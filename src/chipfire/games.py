@@ -51,7 +51,6 @@ class Game:
         if self.lattice.rank != n - 1:
             raise ValueError("firing lattice must have corank 1")
         self.sigma_cache = {}
-        self.reduced_cache = {}
         self.rank_cache = {}
         self.eff_class_cache = []
 
@@ -75,16 +74,13 @@ class Game:
         """Diagonal entry F[v][v]: chips lost at v when v fires once."""
         return self.firing_rows[v][v]
 
-    def degree(self, divisor):
-        return sum(a * b for a, b in zip(divisor, self.weight))
-
     def __repr__(self):
         return f"Game(n={self.n_vertices}, period={self.period}, weight={self.weight})"
 
 
 def row_game(g):
     """Row chip-firing game on a strongly connected digraph."""
-    q = laplacian(g, "row")
+    q = laplacian(g)
     r = period_vector(g)
     one = (1,) * g.n_vertices
     return Game(q, r, one)
@@ -92,7 +88,7 @@ def row_game(g):
 
 def column_game(g):
     """Column chip-firing game on a strongly connected digraph."""
-    q = laplacian(g, "column")
+    q = laplacian(g)
     n = g.n_vertices
     q_t = [[q[i][j] for i in range(n)] for j in range(n)]
     r = period_vector(g)

@@ -34,10 +34,6 @@ class DirectedMultigraph:
     def out_degree(self, v):
         return sum(self.arcs[v])
 
-    def reversed(self):
-        n = self.n_vertices
-        return DirectedMultigraph([[self.arcs[j][i] for j in range(n)] for i in range(n)])
-
     def __eq__(self, other):
         return isinstance(other, DirectedMultigraph) and self.arcs == other.arcs
 
@@ -86,13 +82,8 @@ def is_strongly_connected(g):
     return reachable(0, g.arcs) and reachable(0, reverse)
 
 
-def laplacian(g, side="row"):
-    """The directed Laplacian Q = diag(out-degree) - arcs.
-
-    ``side`` is a tag for downstream firing semantics; the matrix is the same.
-    """
-    if side not in ("row", "column"):
-        raise ValueError(f"unknown side {side!r}")
+def laplacian(g):
+    """The directed Laplacian Q = diag(out-degree) - arcs."""
     n = g.n_vertices
     return [
         [g.out_degree(i) if i == j else -g.arcs[i][j] for j in range(n)]
@@ -213,7 +204,7 @@ class LatticeHandle:
                         )
 
     def contains(self, x):
-        """True iff the integer vector x is an integer combination of generators."""
+        """True iff x (int or Fraction entries) is an integer combination of generators."""
         if len(x) != self.dim:
             return False
         if any(v != int(v) for v in x):
@@ -261,17 +252,6 @@ def _xgcd(a, b):
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
-
-
-def lattice_membership(lattice, x):
-    """Exact membership of a (possibly rational) vector in the lattice."""
-    ints = []
-    for v in x:
-        f = Fraction(v)
-        if f.denominator != 1:
-            return False
-        ints.append(f.numerator)
-    return lattice.contains(ints)
 
 
 def scale_lattice(lattice, weights):

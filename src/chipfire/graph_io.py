@@ -1,6 +1,7 @@
 """JSON graph formats and divisor literals for the command line."""
 
 import json
+from itertools import chain
 
 from .arithmetical import validate_arithmetical
 from .errors import InvalidGraph
@@ -12,33 +13,35 @@ def parse_graph(data):
 
     {"type":"digraph","vertices":N,"arcs":[[tail,head,mult],...]} or
     {"type":"arithmetical","vertices":N,"edges":[[i,j,mult],...],
-     "multiplicities":[r0,...,rn]}.
+     "multiplicities":[r0,...,rn]}.  Every number must be an integer.
     """
     if not isinstance(data, dict) or "type" not in data:
         raise InvalidGraph("graph JSON must be an object with a 'type' field")
     kind = data["type"]
+    if kind not in ("digraph", "arithmetical"):
+        raise InvalidGraph(f"unknown graph type {kind!r}")
+    n = data.get("vertices")
+    rows = data.get("arcs" if kind == "digraph" else "edges")
+    mults = data.get("multiplicities") if kind == "arithmetical" else []
+    if not (
+        isinstance(rows, list) and isinstance(mults, list)
+        and all(isinstance(row, list) and len(row) == 3 for row in rows)
+        # type(), not isinstance(): a bool is an int too
+        and set(map(type, [n, *mults, *chain.from_iterable(rows)])) == {int}
+    ):
+        raise InvalidGraph(
+            f"{kind} graph: 'vertices', every [i, j, multiplicity] entry and"
+            " every multiplicity must be integers"
+        )
     if kind == "digraph":
-        n = data.get("vertices")
-        arcs = data.get("arcs")
-        if not isinstance(n, int) or not isinstance(arcs, list):
-            raise InvalidGraph("digraph needs integer 'vertices' and list 'arcs'")
-        return build_digraph([tuple(a) for a in arcs], n_vertices=n)
-    if kind == "arithmetical":
-        n = data.get("vertices")
-        edges = data.get("edges")
-        mults = data.get("multiplicities")
-        if not isinstance(n, int) or not isinstance(edges, list) or not isinstance(mults, list):
-            raise InvalidGraph(
-                "arithmetical graph needs 'vertices', 'edges', 'multiplicities'"
-            )
-        adjacency = [[0] * n for _ in range(n)]
-        for i, j, mult in edges:
-            if not (0 <= i < n and 0 <= j < n) or i == j or mult < 1:
-                raise InvalidGraph(f"bad edge ({i},{j},{mult})")
-            adjacency[i][j] += mult
-            adjacency[j][i] += mult
-        return validate_arithmetical(adjacency, tuple(mults))
-    raise InvalidGraph(f"unknown graph type {kind!r}")
+        return build_digraph([tuple(a) for a in rows], n_vertices=n)
+    adjacency = [[0] * n for _ in range(n)]
+    for i, j, mult in rows:
+        if not (0 <= i < n and 0 <= j < n) or i == j or mult < 1:
+            raise InvalidGraph(f"bad edge ({i},{j},{mult})")
+        adjacency[i][j] += mult
+        adjacency[j][i] += mult
+    return validate_arithmetical(adjacency, tuple(mults))
 
 
 def load_graph(path):

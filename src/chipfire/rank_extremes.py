@@ -2,11 +2,14 @@
 
 from dataclasses import dataclass
 from itertools import product
-from math import prod
 
-from .errors import BudgetExceeded
 from .divisor_algebra import degree, degree_plus
-from .reduction import all_reduced_representatives, is_reduced
+from .reduction import (
+    all_reduced_representatives,
+    is_effective_class,
+    is_reduced,
+    stable_box,
+)
 
 
 @dataclass(frozen=True)
@@ -39,10 +42,7 @@ def in_sigma(game, base, divisor):
     key = game.lattice.residue(divisor)
     cached = game.sigma_cache.get(key)
     if cached is None:
-        cached = not any(
-            min(rep) >= 0
-            for rep in all_reduced_representatives(game, base, divisor)
-        )
+        cached = not is_effective_class(game, base, divisor)
         game.sigma_cache[key] = cached
     return cached
 
@@ -122,24 +122,13 @@ def is_extreme(game, base, divisor):
 def enumerate_extremes(game, base, budget=10_000_000):
     """All extreme classes, by exhaustive scan over reduced normal forms.
 
-    Scans divisors with value -1 at the base and 0 <= D(v) < F[v][v]
-    elsewhere (the reduced-divisor coordinate bound), keeping those that are
-    reduced, in Sigma, and extreme; classes are deduplicated by their full
-    representative sets.
+    Scans the stable box (the reduced-divisor coordinate bound) with value -1
+    at the base, keeping the divisors that are reduced, in Sigma, and
+    extreme; classes are deduplicated by their full representative sets.
     """
-    game.check_base(base)
-    n = game.n_vertices
-    others = [v for v in range(n) if v != base]
-    total = prod(game.threshold(v) for v in others)
-    if total > budget:
-        raise BudgetExceeded(total, budget)
     classes = {}
-    for combo in product(*[range(game.threshold(v)) for v in others]):
-        divisor = [0] * n
-        divisor[base] = -1
-        for v, value in zip(others, combo):
-            divisor[v] = value
-        divisor = tuple(divisor)
+    for stable in stable_box(game, base, budget):
+        divisor = stable[:base] + (-1,) + stable[base + 1:]
         if not is_reduced(game, base, divisor):
             continue
         if not in_sigma(game, base, divisor):

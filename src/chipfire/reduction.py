@@ -1,8 +1,10 @@
 """Base-vertex reduction: the generalized Dhar's algorithm and its consumers."""
 
 from dataclasses import dataclass
+from itertools import product
+from math import prod
 
-from .errors import NotSandpileForm, NotStronglyConnected
+from .errors import BudgetExceeded, NotSandpileForm, NotStronglyConnected
 from . import games as _games
 
 
@@ -79,12 +81,22 @@ def dhar(game, base, divisor):
 
 def is_reduced(game, base, divisor):
     """True iff Dhar's algorithm terminates at the zero strategy."""
-    key = (base, tuple(divisor))
-    cached = game.reduced_cache.get(key)
-    if cached is None:
-        cached = not any(_burn(game, base, divisor))
-        game.reduced_cache[key] = cached
-    return cached
+    return not any(_burn(game, base, divisor))
+
+
+def stable_box(game, base, budget):
+    """Every divisor with 0 <= D(v) < F[v][v] off the base and D(base) = 0.
+
+    Checks the base, then that the box size is within the budget, before
+    yielding the first divisor.
+    """
+    game.check_base(base)
+    others = [v for v in range(game.n_vertices) if v != base]
+    total = prod(game.threshold(v) for v in others)
+    if total > budget:
+        raise BudgetExceeded(total, budget)
+    for combo in product(*[range(game.threshold(v)) for v in others]):
+        yield combo[:base] + (0,) + combo[base:]
 
 
 def _bfs_layers(game, base):

@@ -6,7 +6,6 @@ from itertools import product
 
 from .divisor_algebra import degree, equivalent
 from .games import scaled_game
-from .graph_core import lattice_membership
 from .rank_extremes import enumerate_extremes, rank
 from .reduction import all_reduced_representatives
 
@@ -59,7 +58,7 @@ def _match_translation(points, lattice, translation):
         target = [-a - v for a, v in zip(p, translation)]
         hit = None
         for j, q in enumerate(points):
-            if lattice_membership(lattice, [t - b for t, b in zip(target, q)]):
+            if lattice.contains([t - b for t, b in zip(target, q)]):
                 hit = j
                 break
         if hit is None:
@@ -136,29 +135,32 @@ def rr_verdict(game, base, budget=10_000_000):
     )
 
 
-def rr_formula_check(game, base, report, sample_box):
-    """Verify r(D) - r(K-D) = deg(D) - g + 1 on the sample box.
+def _rank_differences(game, base, canonical, sample_box):
+    """(deg D, r(D) - r(K - D)) for one D per lattice residue in the sample box.
 
-    Both sides are class invariants, so distinct lattice residues are checked
-    once each.
+    Both values are class invariants, so each residue is taken once.
     """
-    if not report.rr_property:
-        raise ValueError("formula check requires the Riemann-Roch property")
-    k = report.canonical
-    g = report.g
-    n = game.n_vertices
     seen = set()
-    for entries in product(range(-sample_box, sample_box + 1), repeat=n):
+    for entries in product(range(-sample_box, sample_box + 1), repeat=game.n_vertices):
         res = game.lattice.residue(entries)
         if res in seen:
             continue
         seen.add(res)
-        lhs = rank(game, base, res) - rank(
-            game, base, tuple(a - b for a, b in zip(k, res))
+        diff = rank(game, base, res) - rank(
+            game, base, tuple(a - b for a, b in zip(canonical, res))
         )
-        if lhs != degree(game.weight, res) - g + 1:
-            return False
-    return True
+        yield degree(game.weight, res), diff
+
+
+def rr_formula_check(game, base, report, sample_box):
+    """Verify r(D) - r(K-D) = deg(D) - g + 1 on the sample box."""
+    if not report.rr_property:
+        raise ValueError("formula check requires the Riemann-Roch property")
+    g = report.g
+    return all(
+        diff == deg - g + 1
+        for deg, diff in _rank_differences(game, base, report.canonical, sample_box)
+    )
 
 
 def canonical_inequality_check(game, base, report, sample_box):
@@ -168,23 +170,12 @@ def canonical_inequality_check(game, base, report, sample_box):
     """
     if not report.reflection_invariant:
         raise ValueError("inequality check requires reflection invariance")
-    k = report.canonical
     g_min = report.extremes.g_min
     g_max = report.extremes.g_max
-    n = game.n_vertices
-    seen = set()
-    for entries in product(range(-sample_box, sample_box + 1), repeat=n):
-        res = game.lattice.residue(entries)
-        if res in seen:
-            continue
-        seen.add(res)
-        diff = rank(game, base, res) - rank(
-            game, base, tuple(a - b for a, b in zip(k, res))
-        )
-        deg = degree(game.weight, res)
-        if not (deg - 3 * g_max + 2 * g_min + 1 <= diff <= deg - g_min + 1):
-            return False
-    return True
+    return all(
+        deg - 3 * g_max + 2 * g_min + 1 <= diff <= deg - g_min + 1
+        for deg, diff in _rank_differences(game, base, report.canonical, sample_box)
+    )
 
 
 def transport_canonical(weight, canonical_scaled):

@@ -1,12 +1,16 @@
 """Directed sandpile dynamics: stabilization, recurrence, minimal recurrents."""
 
 from itertools import product
-from math import prod
 
-from .errors import BudgetExceeded, NotStable
+from .errors import NotStable
 from .divisor_algebra import degree
 from .rank_extremes import in_sigma
-from .reduction import all_reduced_representatives, check_sandpile_form, is_reduced
+from .reduction import (
+    all_reduced_representatives,
+    check_sandpile_form,
+    is_reduced,
+    stable_box,
+)
 from .riemann_roch import natural_divisor
 
 
@@ -95,26 +99,14 @@ def is_recurrent_oracle(game, base, divisor, headroom):
 def minimal_recurrents(game, base, budget=10_000_000):
     """All recurrent stable configurations minimal under dominance off the base.
 
-    The base entry is stored as 0; the sandpile order ignores it.
+    The base entry is stored as 0, so comparing it never decides dominance.
     """
-    n = game.n_vertices
-    others = [v for v in range(n) if v != base]
-    total = prod(game.threshold(v) for v in others)
-    if total > budget:
-        raise BudgetExceeded(total, budget)
-    recurrents = []
-    for combo in product(*[range(game.threshold(v)) for v in others]):
-        divisor = [0] * n
-        for v, value in zip(others, combo):
-            divisor[v] = value
-        divisor = tuple(divisor)
-        if is_recurrent(game, base, divisor):
-            recurrents.append(divisor)
+    recurrents = [d for d in stable_box(game, base, budget) if is_recurrent(game, base, d)]
     minimal = [
         d
         for d in recurrents
         if not any(
-            other != d and all(other[v] <= d[v] for v in others)
+            other != d and all(a <= b for a, b in zip(other, d))
             for other in recurrents
         )
     ]

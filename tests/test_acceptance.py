@@ -21,7 +21,6 @@ from chipfire.arithmetical import (
 )
 from chipfire.divisor_algebra import degree, equivalent
 from chipfire.games import row_game, column_game
-from chipfire.graph_core import lattice_membership
 from chipfire.rank_extremes import enumerate_extremes, rank, rank_via_extremes
 from chipfire.reduction import all_reduced_representatives, is_reduced
 from chipfire.riemann_roch import (
@@ -112,9 +111,8 @@ def test_criterion_2_ex_b():
     assert (tuple(a - b - c for a, b, c in zip(k, nu[1], nu[2]))
             == fire((0, -1, -1, -2, -2, -2)))
     witness = tuple(frac(x, 14) for x in (-34, 2, 5, 5, 5, 5))
-    assert lattice_membership(
-        game.lattice,
-        [a - b for a, b in zip(report.reflection_witness, witness)],
+    assert game.lattice.contains(
+        [a - b for a, b in zip(report.reflection_witness, witness)]
     )
 
     # pi_R(nu + 1) for nu = (-1,0,1,0,1,0), (-1,0,2,0,0,0), (-1,0,0,2,0,0):
@@ -134,7 +132,7 @@ def test_criterion_2_ex_b():
         assert all(x + 1 - a == lam * w for x, a, w in zip(rep, p, weight))
     matches = sorted(
         [i for i, p in enumerate(expected.values())
-         if lattice_membership(game.lattice, [a - b for a, b in zip(c, p)])]
+         if game.lattice.contains([a - b for a, b in zip(c, p)])]
         for c in crit_points(report.extremes, weight)
     )
     assert matches == [[0], [1], [2]]
@@ -205,7 +203,7 @@ def test_criterion_6_two_vertex():
         assert cls.degree == r0 * r1 - r0 - r1
 
         step = (r1, -r0)
-        assert lattice_membership(game.lattice, step)
+        assert game.lattice.contains(step)
         assert nu[0] < 0 and nu[1] - r0 < 0  # t = 0 and t = 1 above
         box = r0 + r1
         assert not oracle.effective_bruteforce(game, nu, box)

@@ -115,7 +115,11 @@ def test_dhar_steps_count_unit_decrements(capsys, exb_file, divisor, terminal, s
     (["extremes"], None),
     (["sandpile", "recurrent"], "0,0,0"),
     (["sandpile", "stabilize"], "1,1,1"),
-], ids=["dhar", "reduce", "rank", "extremes", "sandpile-recurrent", "sandpile-stabilize"])
+    (["oracle", "rank"], "1,1,1"),
+    (["oracle", "effective"], "1,1,1"),
+    (["oracle", "reduced"], "1,1,1"),
+], ids=["dhar", "reduce", "rank", "extremes", "sandpile-recurrent", "sandpile-stabilize",
+        "oracle-rank", "oracle-effective", "oracle-reduced"])
 def test_base_outside_the_vertex_range_exits_2(t3_file, command, divisor, base):
     """Run in a subprocess with a timeout: an unchecked base once made
     stabilize fire every vertex forever."""
@@ -128,6 +132,78 @@ def test_base_outside_the_vertex_range_exits_2(t3_file, command, divisor, base):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert f"base {base} is not in range(3)" in proc.stderr
+
+
+T3_ARCS = [[0, 1, 1], [1, 2, 1], [2, 0, 1]]
+TV_GRAPH = {"type": "arithmetical", "vertices": 2, "edges": [[0, 1, 6]],
+            "multiplicities": [2, 3]}
+
+
+@pytest.mark.parametrize("graph", [
+    {"type": "digraph", "vertices": 3, "arcs": [[0, 1, 1.5]] + T3_ARCS[1:]},
+    {"type": "digraph", "vertices": 3, "arcs": [[0, 1, 3.0]] + T3_ARCS[1:]},
+    {"type": "digraph", "vertices": 3, "arcs": [[0, 1, True]] + T3_ARCS[1:]},
+    {"type": "digraph", "vertices": 3, "arcs": [[0.0, 1, 1]] + T3_ARCS[1:]},
+    {"type": "digraph", "vertices": True, "arcs": T3_ARCS},
+    dict(TV_GRAPH, multiplicities=[2, 3.0]),
+    dict(TV_GRAPH, multiplicities=[True, 1]),
+    dict(TV_GRAPH, edges=[[0, 1, 6.0]]),
+    dict(TV_GRAPH, vertices=2.0),
+], ids=["arc-mult-1.5", "arc-mult-3.0", "arc-mult-true", "arc-tail-0.0", "vertices-true",
+        "mult-3.0", "mult-true", "edge-mult-6.0", "vertices-2.0"])
+def test_non_integer_graph_numbers_exit_2(tmp_path, graph):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(graph))
+    package_root = Path(importlib.import_module("chipfire").__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-m", "chipfire.cli", "info", str(path)],
+                          capture_output=True, text=True, timeout=20,
+                          env=dict(os.environ, PYTHONPATH=str(package_root)))
+    assert proc.returncode == 2, proc.stdout
+    assert "Traceback" not in proc.stderr
+    assert "must be integers" in proc.stderr
+
+
+def test_arith_star_needs_r0_and_r1(capsys):
+    assert main(["arith", "star", "--r0", "3"]) == 2
+    assert "--r0 and --r1" in capsys.readouterr().err
+
+
+def test_oracle_negative_box_exits_2(capsys, t3_file):
+    assert main(["oracle", "rank", t3_file, "--divisor=1,1,1", "--box", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--box must be nonnegative" in captured.err
+
+
+def test_extremes_has_no_json_flag(capsys, two_vertex_file):
+    assert main(["extremes", two_vertex_file, "--json"]) == 2
+
+
+def test_sandpile_minimal_budget_exceeded_exits_3(capsys, exa_file):
+    assert main(["sandpile", "minimal", exa_file, "--budget", "1"]) == 3
+    assert capsys.readouterr().out == ""
+
+
+def test_sandpile_minimal_checks_base_before_scanning(capsys, exa_file, monkeypatch):
+    """The base is checked before the budget and before any candidate."""
+    from chipfire import sandpile
+
+    def no_scan(*args):
+        raise AssertionError("scanned a candidate")
+
+    monkeypatch.setattr(sandpile, "is_recurrent", no_scan)
+    assert main(["sandpile", "minimal", exa_file, "--base", "7", "--budget", "1"]) == 2
+    assert "base 7 is not in range(6)" in capsys.readouterr().err
+
+
+def test_extremes_output_matches_rr_check(capsys, exa_file, two_vertex_file):
+    for path in (exa_file, two_vertex_file):
+        assert main(["extremes", path]) == 0
+        extremes_out = capsys.readouterr().out
+        code, report = run(capsys, ["rr-check", path])
+        assert code == 0
+        subset = {key: report[key] for key in ("classes", "g_min", "g_max")}
+        assert extremes_out == json.dumps(subset, sort_keys=True) + "\n"
 
 
 def test_rank_command(capsys, t3_file):

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from chipfire import fixtures
 from chipfire.arithmetical import chip_game
 from chipfire.divisor_algebra import (
-    apply_firing,
     degree,
     degree_plus,
     equivalent,
@@ -23,7 +22,7 @@ GAME = chip_game(fixtures.ex_a())
        st.lists(st.integers(-3, 3), min_size=6, max_size=6))
 @settings(max_examples=150, deadline=None)
 def test_firing_preserves_weighted_degree(divisor, strategy):
-    moved = apply_firing(GAME, tuple(divisor), tuple(strategy))
+    moved = GAME.apply(tuple(divisor), tuple(strategy))
     assert degree(GAME.weight, moved) == degree(GAME.weight, tuple(divisor))
 
 
@@ -35,7 +34,7 @@ def test_degree_plus_counts_only_positive_part():
 def test_equivalent_is_translation_by_lattice():
     game = row_game(fixtures.t3())
     d = (3, 0, 0)
-    moved = apply_firing(game, d, (1, 0, 0))
+    moved = game.apply(d, (1, 0, 0))
     assert equivalent(game.lattice, d, moved)
     assert not equivalent(game.lattice, d, (2, 0, 0))
 

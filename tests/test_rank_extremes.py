@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from chipfire import fixtures, oracle
 from chipfire.arithmetical import chip_game
-from chipfire.divisor_algebra import apply_firing, degree
+from chipfire.divisor_algebra import degree
 from chipfire.games import row_game
 from chipfire.rank_extremes import (
     enumerate_extremes,
@@ -55,7 +55,7 @@ GAME = chip_game(fixtures.ec(2))
 @settings(max_examples=120, deadline=None)
 def test_rank_is_a_class_invariant(divisor, strategy):
     d = tuple(divisor)
-    moved = apply_firing(GAME, d, tuple(strategy))
+    moved = GAME.apply(d, tuple(strategy))
     assert rank(GAME, 0, d) == rank(GAME, 0, moved)
 
 

@@ -2,7 +2,7 @@ import pytest
 
 from chipfire import fixtures, oracle
 from chipfire.arithmetical import associated_digraph, chip_game
-from chipfire.divisor_algebra import apply_firing, equivalent
+from chipfire.divisor_algebra import equivalent
 from chipfire.errors import NotSandpileForm
 from chipfire.games import Game, column_game, row_game, scaled_game
 from chipfire.graph_core import build_digraph, period_vector
@@ -31,7 +31,7 @@ def test_reduce_returns_equivalent_reduced_divisor(name, game):
     for d in sandpile_box(game, 0, slack=2, base_values=(-3, 0, 4)):
         red, strategy = reduce(game, 0, d)
         assert is_reduced(game, 0, red)
-        assert apply_firing(game, d, strategy) == red
+        assert game.apply(d, strategy) == red
         assert equivalent(game.lattice, d, red)
 
 

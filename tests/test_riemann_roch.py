@@ -6,7 +6,6 @@ from chipfire import fixtures
 from chipfire.arithmetical import chip_game
 from chipfire.divisor_algebra import degree, equivalent
 from chipfire.games import row_game, scaled_game
-from chipfire.graph_core import lattice_membership
 from chipfire.riemann_roch import (
     canonical_inequality_check,
     crit_points,
@@ -104,9 +103,8 @@ def test_reflection_witness_replay():
         for i, p in enumerate(points):
             partners = [
                 j for j, q in enumerate(points)
-                if lattice_membership(
-                    game.lattice,
-                    tuple(-a - b - c for a, b, c in zip(p, v, q)),
+                if game.lattice.contains(
+                    tuple(-a - b - c for a, b, c in zip(p, v, q))
                 )
             ]
             assert partners, (name, i)
