@@ -7,8 +7,9 @@ from math import gcd
 from .errors import InvalidGraph, NotArithmetical, NotPrimitive
 from .divisor_algebra import degree, equivalent
 from .games import Game, column_game, scaled_game
-from .graph_core import DirectedMultigraph
+from .graph_core import DirectedMultigraph, reachable
 from .rank_extremes import enumerate_extremes
+from .reduction import DEFAULT_BUDGET
 from .riemann_roch import natural_divisor, rr_verdict
 
 
@@ -48,21 +49,9 @@ def validate_arithmetical(adjacency, multiplicities):
         raise InvalidGraph("loop edges are not allowed")
     if len(multiplicities) != n or any(r < 1 for r in multiplicities):
         raise InvalidGraph("multiplicities must be positive")
-    seen = [False] * n
-    seen[0] = True
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in range(n):
-            if adjacency[u][v] and not seen[v]:
-                seen[v] = True
-                stack.append(v)
-    if not all(seen):
+    if len(reachable(adjacency, 0)) != n:
         raise InvalidGraph("base graph must be connected")
-    g_all = 0
-    for r in multiplicities:
-        g_all = gcd(g_all, r)
-    if g_all != 1:
+    if gcd(*multiplicities) != 1:
         raise NotPrimitive("multiplicities must have gcd 1")
     deltas = []
     for i in range(n):
@@ -107,13 +96,13 @@ def chip_game(ag):
     return Game(ag.laplacian(), ag.multiplicities, ag.multiplicities)
 
 
-def column_rr_always(ag, base=0, budget=10_000_000):
+def column_rr_always(ag, base=0, budget=DEFAULT_BUDGET):
     """Riemann-Roch verdict for the column game on the associated digraph."""
     game = column_game(associated_digraph(ag))
     return rr_verdict(game, base, budget=budget).rr_property
 
 
-def digraph_natural_rr(ag, base=0, budget=10_000_000):
+def digraph_natural_rr(ag, base=0, budget=DEFAULT_BUDGET):
     """Natural Riemann-Roch for the row game on the associated digraph.
 
     The scaled chip game is the digraph row game, so the digraph canonical is
@@ -246,7 +235,7 @@ def staircase_divisors(star_ag, r0, r1):
     return sorted(out)
 
 
-def gmax_bound_check(ag, base=0, budget=10_000_000):
+def gmax_bound_check(ag, base=0, budget=DEFAULT_BUDGET):
     """Assert g_max <= g0 for the chip game; when equal, also check the
     canonical pairing with K = (delta - 2): a class of top degree g_max - 1
     pairs with K minus itself inside the extreme set, and conversely."""

@@ -15,8 +15,7 @@ from .errors import BudgetExceeded, ChipfireError
 from .games import column_game, row_game
 from .graph_core import is_strongly_connected, period_vector
 from .graph_io import load_graph, parse_divisor
-
-DEFAULT_BUDGET = 10_000_000
+from .reduction import DEFAULT_BUDGET
 
 
 def _budget(args):

@@ -21,6 +21,8 @@ def degree_plus(weight, divisor):
 
 def equivalent(lattice, d1, d2):
     """True iff D1 - D2 lies in the lattice."""
+    if len(d1) != len(d2):
+        raise DimensionError("divisor dimension mismatch")
     return lattice.contains([a - b for a, b in zip(d1, d2)])
 
 

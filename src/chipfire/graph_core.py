@@ -1,9 +1,9 @@
 """Directed multigraphs, Laplacians, the period vector, and exact lattice membership.
 
-All arithmetic is arbitrary-precision: plain ``int`` and ``fractions.Fraction``.
+All arithmetic is arbitrary-precision ``int``: the period vector and every
+membership test come from one integer Hermite basis.
 """
 
-from fractions import Fraction
 from math import gcd
 
 from .errors import InvalidGraph, NotStronglyConnected
@@ -62,24 +62,24 @@ def build_digraph(arc_list, n_vertices=None):
     return DirectedMultigraph(arcs)
 
 
+def reachable(matrix, start):
+    """The set of vertices reachable from start along nonzero matrix entries."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        u = stack.pop()
+        for v, m in enumerate(matrix[u]):
+            if m and v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return seen
+
+
 def is_strongly_connected(g):
     """True iff every ordered vertex pair is joined by a directed path."""
     n = g.n_vertices
-
-    def reachable(start, matrix):
-        seen = [False] * n
-        seen[start] = True
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in range(n):
-                if matrix[u][v] and not seen[v]:
-                    seen[v] = True
-                    stack.append(v)
-        return all(seen)
-
     reverse = [[g.arcs[j][i] for j in range(n)] for i in range(n)]
-    return reachable(0, g.arcs) and reachable(0, reverse)
+    return len(reachable(g.arcs, 0)) == n and len(reachable(reverse, 0)) == n
 
 
 def laplacian(g):
@@ -94,49 +94,15 @@ def laplacian(g):
 def period_vector(g):
     """The primitive positive integer R with Q^T R = 0.
 
-    Unique on a strongly connected digraph; computed by exact rational
-    elimination followed by clearing denominators and dividing by the gcd.
+    Unique on a strongly connected digraph: the kernel of the Hermite basis
+    of the rows of Q^T, whose sign convention already makes it positive.
     """
     if not is_strongly_connected(g):
         raise NotStronglyConnected("period vector requires strong connectivity")
-    n = g.n_vertices
-    q = laplacian(g)
-    # Solve x Q = 0, i.e. Q^T x = 0, by Gaussian elimination on Q^T.
-    rows = [[Fraction(q[j][i]) for j in range(n)] for i in range(n)]
-    pivot_cols = []
-    r = 0
-    for col in range(n):
-        pivot = next((k for k in range(r, n) if rows[k][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][col]
-        rows[r] = [x / inv for x in rows[r]]
-        for k in range(n):
-            if k != r and rows[k][col] != 0:
-                factor = rows[k][col]
-                rows[k] = [a - factor * b for a, b in zip(rows[k], rows[r])]
-        pivot_cols.append(col)
-        r += 1
-    if r != n - 1:
-        raise NotStronglyConnected("Laplacian corank is not 1")
-    free = next(c for c in range(n) if c not in pivot_cols)
-    x = [Fraction(0)] * n
-    x[free] = Fraction(1)
-    for row, col in zip(rows, pivot_cols):
-        x[col] = -row[free]
-    denom_lcm = 1
-    for v in x:
-        denom_lcm = denom_lcm * v.denominator // gcd(denom_lcm, v.denominator)
-    ints = [int(v * denom_lcm) for v in x]
-    if all(v < 0 for v in ints):
-        ints = [-v for v in ints]
-    if any(v <= 0 for v in ints):
+    r = LatticeHandle(list(zip(*laplacian(g)))).kernel()
+    if any(v <= 0 for v in r):
         raise NotStronglyConnected("kernel vector is not strictly positive")
-    g_all = 0
-    for v in ints:
-        g_all = gcd(g_all, v)
-    return tuple(v // g_all for v in ints)
+    return r
 
 
 class LatticeHandle:
@@ -205,18 +171,9 @@ class LatticeHandle:
 
     def contains(self, x):
         """True iff x (int or Fraction entries) is an integer combination of generators."""
-        if len(x) != self.dim:
+        if len(x) != self.dim or any(v != int(v) for v in x):
             return False
-        if any(v != int(v) for v in x):
-            return False
-        rem = [int(v) for v in x]
-        for col, row in self.pivots:
-            if rem[col] % row[col] != 0:
-                return False
-            q = rem[col] // row[col]
-            if q:
-                rem = [a - q * b for a, b in zip(rem, row)]
-        return not any(rem)
+        return not any(self.residue([int(v) for v in x]))
 
     def residue(self, x):
         """Canonical coset representative of x modulo the lattice.
@@ -229,6 +186,27 @@ class LatticeHandle:
             if q:
                 rem = [a - q * b for a, b in zip(rem, row)]
         return tuple(rem)
+
+    def kernel(self):
+        """The primitive integer x with B x = 0, for a basis B of corank 1.
+
+        Back-substitutes over the pivots from the last one up, with the free
+        coordinate set to 1, scaling x whenever a pivot does not divide;
+        the free coordinate stays positive.
+        """
+        corank = self.dim - self.rank
+        if corank != 1:
+            raise ValueError(f"kernel needs corank 1, basis has corank {corank}")
+        pivot_cols = {c for c, _ in self.pivots}
+        x = [0] * self.dim
+        x[next(c for c in range(self.dim) if c not in pivot_cols)] = 1
+        for col, row in reversed(self.pivots):
+            rest = sum(a * b for a, b in zip(row[col + 1:], x[col + 1:]))
+            g = gcd(row[col], rest)
+            x = [v * (row[col] // g) for v in x]
+            x[col] = -rest // g
+        g_all = gcd(*x)
+        return tuple(v // g_all for v in x)
 
     def basis(self):
         return tuple(row for _, row in self.pivots)

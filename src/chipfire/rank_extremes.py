@@ -5,6 +5,7 @@ from itertools import product
 
 from .divisor_algebra import degree, degree_plus
 from .reduction import (
+    DEFAULT_BUDGET,
     all_reduced_representatives,
     is_effective_class,
     is_reduced,
@@ -119,7 +120,7 @@ def is_extreme(game, base, divisor):
     return True
 
 
-def enumerate_extremes(game, base, budget=10_000_000):
+def enumerate_extremes(game, base, budget=DEFAULT_BUDGET):
     """All extreme classes, by exhaustive scan over reduced normal forms.
 
     Scans the stable box (the reduced-divisor coordinate bound) with value -1

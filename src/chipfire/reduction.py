@@ -84,6 +84,9 @@ def is_reduced(game, base, divisor):
     return not any(_burn(game, base, divisor))
 
 
+DEFAULT_BUDGET = 10_000_000  # candidates a scan may visit unless told otherwise
+
+
 def stable_box(game, base, budget):
     """Every divisor with 0 <= D(v) < F[v][v] off the base and D(base) = 0.
 

@@ -5,9 +5,11 @@ from fractions import Fraction
 from itertools import product
 
 from .divisor_algebra import degree, equivalent
+from .errors import DimensionError
 from .games import scaled_game
+from .graph_core import scale_lattice
 from .rank_extremes import enumerate_extremes, rank
-from .reduction import all_reduced_representatives
+from .reduction import DEFAULT_BUDGET, all_reduced_representatives
 
 
 @dataclass(frozen=True)
@@ -38,6 +40,8 @@ def project(weight, point):
 
 def delta_distance(weight, p, q):
     """The gauge max_i (q_i - p_i) / r_i, exact rational."""
+    if not len(weight) == len(p) == len(q):
+        raise DimensionError("weight/point dimension mismatch")
     return max(
         (Fraction(qi) - Fraction(pi)) / Fraction(ri)
         for pi, qi, ri in zip(p, q, weight)
@@ -51,40 +55,36 @@ def crit_points(extremes, weight):
     ]
 
 
-def _match_translation(points, lattice, translation):
-    """The matching sigma with -p_i - v - p_sigma(i) in the lattice, if any."""
-    sigma = []
-    for p in points:
-        target = [-a - v for a, v in zip(p, translation)]
-        hit = None
-        for j, q in enumerate(points):
-            if lattice.contains([t - b for t, b in zip(target, q)]):
-                hit = j
-                break
-        if hit is None:
-            return None
-        sigma.append(hit)
-    if sorted(sigma) != list(range(len(points))):
-        return None
-    return tuple(sigma)
-
-
 def reflection_invariant(extremes, lattice, weight):
     """Decide whether the negated critical set is a lattice translate of itself.
 
     Any valid translation must send some critical point to -p_0, so the
-    candidates are v = -p_0 - p_j; each candidate is checked for a perfect
-    matching through exact lattice membership.
+    candidates are v = -p_0 - p_j.  Scaled by N = ||w||^2 the critical points
+    are integer vectors, and -p_i - v - p_k lies in the lattice iff
+    N (p_0 + p_j - p_i) and N p_k share a residue modulo N times the lattice;
+    so each candidate is k residue lookups, each hit the first point of its
+    class.
 
     Returns (flag, translation witness or None, matching or None).
     """
     points = crit_points(extremes, weight)
-    p0 = points[0]
-    for q in points:
-        translation = tuple(-a - b for a, b in zip(p0, q))
-        sigma = _match_translation(points, lattice, translation)
-        if sigma is not None:
-            return True, translation, sigma
+    n_sq = sum(x * x for x in weight)
+    scaled = [tuple(int(x * n_sq) for x in p) for p in points]
+    residue = scale_lattice(lattice, (n_sq,) * len(weight)).residue
+    first = {}
+    for i, p in enumerate(scaled):
+        first.setdefault(residue(p), i)
+    p0 = scaled[0]
+    for j, q in enumerate(scaled):
+        sigma = []
+        for p in scaled:
+            hit = first.get(residue([a + b - c for a, b, c in zip(p0, q, p)]))
+            if hit is None:
+                break
+            sigma.append(hit)
+        if sorted(sigma) == list(range(len(points))):
+            translation = tuple(-a - b for a, b in zip(points[0], points[j]))
+            return True, translation, tuple(sigma)
     return False, None, None
 
 
@@ -108,7 +108,7 @@ def natural_divisor(game):
     return tuple(game.threshold(v) - 2 for v in range(game.n_vertices))
 
 
-def rr_verdict(game, base, budget=10_000_000):
+def rr_verdict(game, base, budget=DEFAULT_BUDGET):
     """Full Riemann-Roch report for the game's lattice."""
     extremes = enumerate_extremes(game, base, budget=budget)
     uniform = extremes.uniform
@@ -190,7 +190,7 @@ def transport_canonical(weight, canonical_scaled):
     return tuple(out)
 
 
-def scaling_bridge(game, base, budget=10_000_000):
+def scaling_bridge(game, base, budget=DEFAULT_BUDGET):
     """Riemann-Roch verdicts agree before and after weight scaling, and the
     canonical divisors relate by the transport formula.  Returns True iff both
     assertions hold."""

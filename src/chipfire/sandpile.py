@@ -6,6 +6,7 @@ from .errors import NotStable
 from .divisor_algebra import degree
 from .rank_extremes import in_sigma
 from .reduction import (
+    DEFAULT_BUDGET,
     all_reduced_representatives,
     check_sandpile_form,
     is_reduced,
@@ -96,7 +97,7 @@ def is_recurrent_oracle(game, base, divisor, headroom):
     return False
 
 
-def minimal_recurrents(game, base, budget=10_000_000):
+def minimal_recurrents(game, base, budget=DEFAULT_BUDGET):
     """All recurrent stable configurations minimal under dominance off the base.
 
     The base entry is stored as 0, so comparing it never decides dominance.
@@ -113,7 +114,7 @@ def minimal_recurrents(game, base, budget=10_000_000):
     return sorted(minimal)
 
 
-def natural_rr_via_sandpile(game, base, budget=10_000_000):
+def natural_rr_via_sandpile(game, base, budget=DEFAULT_BUDGET):
     """Natural Riemann-Roch via the sandpile model.
 
     True iff every minimal recurrent configuration D, shifted at the base so

@@ -61,6 +61,14 @@ def test_validate_rejects_asymmetric_adjacency():
         validate_arithmetical([[0, 1], [2, 0]], (1, 1))
 
 
+def test_validate_rejects_disconnected_base_graph():
+    from chipfire.errors import InvalidGraph
+
+    adjacency = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
+    with pytest.raises(InvalidGraph, match="connected"):
+        validate_arithmetical(adjacency, (1, 1, 1, 1))
+
+
 def test_g0_values():
     assert g0(fixtures.ex_b()) == 7
     assert g0(fixtures.ec(3)) == 1

@@ -163,6 +163,20 @@ def test_non_integer_graph_numbers_exit_2(tmp_path, graph):
     assert "must be integers" in proc.stderr
 
 
+def test_arith_validate_rejects_disconnected_graph(tmp_path):
+    path = tmp_path / "two_components.json"
+    path.write_text(json.dumps({"type": "arithmetical", "vertices": 4,
+                                "edges": [[0, 1, 1], [2, 3, 1]],
+                                "multiplicities": [1, 1, 1, 1]}))
+    package_root = Path(importlib.import_module("chipfire").__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-m", "chipfire.cli", "arith", "validate", str(path)],
+                          capture_output=True, text=True, timeout=20,
+                          env=dict(os.environ, PYTHONPATH=str(package_root)))
+    assert proc.returncode == 2, proc.stdout
+    assert "Traceback" not in proc.stderr
+    assert "base graph must be connected" in proc.stderr
+
+
 def test_arith_star_needs_r0_and_r1(capsys):
     assert main(["arith", "star", "--r0", "3"]) == 2
     assert "--r0 and --r1" in capsys.readouterr().err

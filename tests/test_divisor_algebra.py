@@ -11,7 +11,7 @@ from chipfire.divisor_algebra import (
     natural_form,
     valid_strategies,
 )
-from chipfire.errors import ZeroStrategy
+from chipfire.errors import DimensionError, ZeroStrategy
 from chipfire.games import row_game
 
 
@@ -24,6 +24,12 @@ GAME = chip_game(fixtures.ex_a())
 def test_firing_preserves_weighted_degree(divisor, strategy):
     moved = GAME.apply(tuple(divisor), tuple(strategy))
     assert degree(GAME.weight, moved) == degree(GAME.weight, tuple(divisor))
+
+
+def test_equivalent_rejects_mismatched_dimensions():
+    lattice = row_game(fixtures.t3()).lattice
+    with pytest.raises(DimensionError):
+        equivalent(lattice, (1, 0, 0, 5), (0, 1, 0))
 
 
 def test_degree_plus_counts_only_positive_part():

@@ -1,3 +1,6 @@
+import random
+from math import gcd
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +13,7 @@ from chipfire.graph_core import (
     is_strongly_connected,
     laplacian,
     period_vector,
+    reachable,
     scale_lattice,
 )
 
@@ -69,6 +73,49 @@ def test_period_vector_of_associated_digraph_is_multiplicities():
     for ag in (fixtures.ex_a(), fixtures.ex_b(), fixtures.ec(3),
                fixtures.two_vertex(3, 4), fixtures.star(4, 3)):
         assert period_vector(associated_digraph(ag)) == ag.multiplicities
+
+
+def test_period_vector_on_random_strongly_connected_digraphs():
+    """R is positive, primitive and satisfies R^T Q = 0, which fixes it."""
+    rng = random.Random(20261018)
+    checked = 0
+    while checked < 200:
+        n = rng.randint(2, 6)
+        arcs = [(i, j, rng.randint(1, 3)) for i in range(n) for j in range(n)
+                if i != j and rng.random() < 0.4]
+        if not arcs:
+            continue
+        g = build_digraph(arcs, n_vertices=n)
+        if not is_strongly_connected(g):
+            continue
+        r = period_vector(g)
+        q = laplacian(g)
+        assert all(v > 0 for v in r), arcs
+        assert gcd(*r) == 1, arcs
+        assert all(sum(r[i] * q[i][j] for i in range(n)) == 0 for j in range(n)), arcs
+        checked += 1
+
+
+@pytest.mark.parametrize("gens", [
+    [(1, 0, 0)],
+    [(1, 0), (0, 2)],
+    [(2, -2, 0), (1, -1, 0)],
+], ids=["corank-2", "corank-0", "corank-2-dependent"])
+def test_kernel_requires_corank_one(gens):
+    with pytest.raises(ValueError):
+        LatticeHandle(gens).kernel()
+
+
+def test_kernel_is_primitive_with_positive_free_coordinate():
+    # Rows (2, 3, 0) and (0, 2, -1): the kernel is spanned by (-3, 2, 4).
+    assert LatticeHandle([(2, 3, 0), (0, 2, -1)]).kernel() == (-3, 2, 4)
+
+
+def test_reachable_follows_nonzero_entries():
+    matrix = [[0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 0], [1, 0, 0, 0]]
+    assert reachable(matrix, 0) == {0, 1, 2}
+    assert reachable(matrix, 3) == {0, 1, 2, 3}
+    assert reachable(matrix, 2) == {2}
 
 
 GENS = st.lists(

@@ -1,11 +1,14 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from chipfire import fixtures
-from chipfire.arithmetical import chip_game
+from chipfire.arithmetical import associated_digraph, chip_game
 from chipfire.divisor_algebra import degree, equivalent
-from chipfire.games import row_game, scaled_game
+from chipfire.errors import DimensionError
+from chipfire.games import column_game, row_game, scaled_game
+from chipfire.rank_extremes import enumerate_extremes
 from chipfire.riemann_roch import (
     canonical_inequality_check,
     crit_points,
@@ -18,6 +21,8 @@ from chipfire.riemann_roch import (
     scaling_bridge,
     transport_canonical,
 )
+
+from conftest import random_arithmetical
 
 
 ALL_CHIP_GAMES = [
@@ -65,6 +70,65 @@ def test_delta_distance_gauge_properties():
             <= delta_distance(w, p, q) + delta_distance(w, q, r))
     assert delta_distance(w, p, q) == Fraction(1)
     assert delta_distance(w, q, p) == Fraction(1, 2)
+
+
+def test_delta_distance_rejects_mismatched_dimensions():
+    with pytest.raises(DimensionError):
+        delta_distance((1, 1, 1), (0, 0, 0), (5,))
+    with pytest.raises(DimensionError):
+        delta_distance((1, 1), (0, 0, 0), (5, 0, 0))
+
+
+def _match_translation(points, lattice, translation):
+    """Reference: the matching sigma with -p_i - v - p_sigma(i) in the
+    lattice, if any, by exact membership tests (the earlier implementation)."""
+    sigma = []
+    for p in points:
+        target = [-a - v for a, v in zip(p, translation)]
+        hit = None
+        for j, q in enumerate(points):
+            if lattice.contains([t - b for t, b in zip(target, q)]):
+                hit = j
+                break
+        if hit is None:
+            return None
+        sigma.append(hit)
+    if sorted(sigma) != list(range(len(points))):
+        return None
+    return tuple(sigma)
+
+
+def _reflection_reference(extremes, lattice, weight):
+    points = crit_points(extremes, weight)
+    p0 = points[0]
+    for q in points:
+        translation = tuple(-a - b for a, b in zip(p0, q))
+        sigma = _match_translation(points, lattice, translation)
+        if sigma is not None:
+            return True, translation, sigma
+    return False, None, None
+
+
+def _reflection_cases():
+    cases = list(ALL_CHIP_GAMES)
+    for name, g in (("ex_b", associated_digraph(fixtures.ex_b())), ("k4u", fixtures.k4u())):
+        cases += [(f"row {name}", row_game(g)), (f"column {name}", column_game(g))]
+    rng = random.Random(20261018)
+    for i in range(12):
+        cases.append((f"random {i}", chip_game(random_arithmetical(rng))))
+    return cases
+
+
+def test_reflection_invariant_matches_membership_reference():
+    """The residue lookups give the flag, witness and matching of the
+    membership scan, on invariant and non-invariant lattices alike."""
+    flags = set()
+    for name, game in _reflection_cases():
+        extremes = enumerate_extremes(game, 0)
+        got = reflection_invariant(extremes, game.lattice, game.weight)
+        assert got == _reflection_reference(extremes, game.lattice, game.weight), name
+        flags.add(got[0])
+    assert flags == {True, False}
 
 
 def test_verdicts_on_worked_examples():
