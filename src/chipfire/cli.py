@@ -5,6 +5,7 @@ Exit codes: 0 computed, 1 property-check failure, 2 invalid input,
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -19,10 +20,13 @@ from .reduction import DEFAULT_BUDGET
 
 
 def _budget(args):
-    if args.budget is not None:
-        return args.budget
-    env = os.environ.get("CHIPFIRE_BUDGET")
-    return int(env) if env else DEFAULT_BUDGET
+    source, budget = "--budget", args.budget
+    if budget is None:
+        env = os.environ.get("CHIPFIRE_BUDGET")
+        source, budget = "CHIPFIRE_BUDGET", int(env) if env else DEFAULT_BUDGET
+    if budget < 0:
+        raise ChipfireError(f"{source} must be nonnegative, got {budget}")
+    return budget
 
 
 def _game_for(graph, side):
@@ -39,9 +43,9 @@ def _divisor(args, game):
     return parse_divisor(args.divisor, game.n_vertices)
 
 
-def _emit(payload):
-    json.dump(payload, sys.stdout, sort_keys=True)
-    sys.stdout.write("\n")
+def _emit(payload, stream=None):
+    """One sorted-key JSON line in one write; ``json.dumps`` uses the C encoder."""
+    (stream or sys.stdout).write(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def _extremes_json(extremes):
@@ -110,8 +114,7 @@ def cmd_reduce(args):
     if args.trace:
         trace = reduction.dhar(game, args.base, reduced)
         for step, vertex in trace.steps:
-            json.dump({"strategy": list(step), "vertex": vertex}, sys.stderr)
-            sys.stderr.write("\n")
+            _emit({"strategy": list(step), "vertex": vertex}, sys.stderr)
     _emit({"reduced": list(reduced), "strategy": list(strategy)})
     return 0
 
@@ -151,6 +154,8 @@ def cmd_extremes(args):
 
 
 def cmd_rr_check(args):
+    if args.formula_box < 0:
+        raise ChipfireError(f"--formula-box must be nonnegative, got {args.formula_box}")
     graph = load_graph(args.graph)
     game = _game_for(graph, args.game)
     report = riemann_roch.rr_verdict(game, args.base, budget=_budget(args))
@@ -305,10 +310,15 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _shared_parser():
+    """Built on the first ``main`` call; each parse still fills a fresh namespace."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

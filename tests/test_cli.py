@@ -1,4 +1,6 @@
+import argparse
 import importlib
+import io
 import json
 import os
 import shutil
@@ -8,7 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from chipfire.cli import main
+from chipfire.cli import build_parser, main
+
+HELP_GOLDEN = json.loads(
+    (Path(__file__).resolve().parent / "golden" / "cli_help.json").read_text()
+)
 
 
 @pytest.fixture
@@ -331,3 +337,112 @@ def test_console_script_installed(t3_file):
     installed = shutil.which("chipfire")
     if installed:
         assert run_script([installed], "info", t3_file).stdout == ok.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["extremes"], ["rr-check"], ["sandpile", "minimal"], ["arith", "check"],
+], ids=["extremes", "rr-check", "sandpile-minimal", "arith-check"])
+def test_negative_budget_exits_2(capsys, monkeypatch, exa_file, argv):
+    """A negative budget is invalid input, from the flag or the environment."""
+    assert main([*argv, exa_file, "--budget", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--budget must be nonnegative, got -5" in captured.err
+    monkeypatch.setenv("CHIPFIRE_BUDGET", "-3")
+    assert main([*argv, exa_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "CHIPFIRE_BUDGET must be nonnegative, got -3" in captured.err
+
+
+def test_zero_budget_is_valid(capsys, monkeypatch, exa_file):
+    assert main(["rr-check", exa_file, "--budget", "0"]) == 3
+    monkeypatch.setenv("CHIPFIRE_BUDGET", "0")
+    assert main(["extremes", exa_file]) == 3
+    assert "budget is 0" in capsys.readouterr().err
+
+
+def test_rr_check_negative_formula_box_exits_2(capsys, t3_file):
+    """An empty formula box used to report "formula_ok": true."""
+    assert main(["rr-check", t3_file, "--formula-box", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--formula-box must be nonnegative, got -1" in captured.err
+    code, doc = run(capsys, ["rr-check", t3_file, "--formula-box", "0"])
+    assert code == 0
+    assert "formula_ok" not in doc
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 13),
+                    reason="Python 3.13 wraps argparse usage lines differently")
+@pytest.mark.parametrize("command", sorted(HELP_GOLDEN))
+def test_help_matches_golden(capsys, monkeypatch, command):
+    """--help text at 80 columns, as recorded before the parser was shared."""
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [] if command == "chipfire" else [command]
+    assert main([*argv, "--help"]) == 0
+    assert capsys.readouterr().out == HELP_GOLDEN[command]
+
+
+def test_trace_does_not_carry_over_to_next_request(capsys, t3_file):
+    argv = ["reduce", t3_file, "--base", "1", "--divisor=2,0,0"]
+    assert main([*argv, "--trace"]) == 0
+    traced = capsys.readouterr()
+    assert len(traced.err.splitlines()) == 3
+    assert main(argv) == 0
+    plain = capsys.readouterr()
+    assert plain.err == ""
+    assert plain.out == traced.out
+
+
+def test_parse_error_does_not_affect_next_request(capsys, t3_file):
+    assert main(["rank", t3_file, "--base", "x", "--divisor=-1,0,0"]) == 2
+    assert "invalid int value" in capsys.readouterr().err
+    code, doc = run(capsys, ["rank", t3_file, "--divisor=-1,0,0"])
+    assert code == 0
+    assert doc == {"rank": -1}
+
+
+def test_main_reuses_one_parser(capsys, monkeypatch, t3_file):
+    main(["info", t3_file])
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in [["info", t3_file], ["rank", t3_file, "--divisor=-1,0,0"],
+                 ["dhar", t3_file, "--divisor=0,0,0"], ["bogus"], ["extremes", t3_file]] * 2:
+        main(argv)
+    assert built == []
+    build_parser()
+    assert len(built) == 10  # the counter sees the top level and nine subcommands
+
+
+def _streamed_json(payload):
+    buf = io.StringIO()
+    json.dump(payload, buf, sort_keys=True)
+    return buf.getvalue() + "\n"
+
+
+@pytest.mark.parametrize("argv,key", [
+    (["dhar", "exb", "--divisor=0,0,0,0,0,0"], "witnesses"),
+    (["rr-check", "t3"], "reflection_witness"),
+], ids=["dhar", "rr-check"])
+def test_stdout_matches_streaming_encoder(capsys, monkeypatch, t3_file, exb_file, argv, key):
+    """One-shot json.dumps writes the bytes the pure-Python json.dump wrote."""
+    files = {"t3": t3_file, "exb": exb_file}
+    payloads = []
+    real_dumps = json.dumps
+
+    def spy(obj, **kwargs):
+        payloads.append(obj)
+        return real_dumps(obj, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", spy)
+    assert main([argv[0], files[argv[1]], *argv[2:]]) == 0
+    out = capsys.readouterr().out
+    assert len(payloads) == 1 and payloads[0][key]
+    assert out == _streamed_json(payloads[0])
