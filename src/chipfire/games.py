@@ -15,7 +15,7 @@ graph (G, R) has F = Q = diag(delta) - A, S = w = R.
 """
 
 from .errors import DimensionError, InvalidBase
-from .graph_core import LatticeHandle, laplacian, period_lattice, period_vector
+from .graph_core import LatticeHandle, laplacian, period_vector
 
 
 class Game:
@@ -23,12 +23,10 @@ class Game:
 
     Every firing row has a positive diagonal entry and no positive entry off
     it: firing a vertex sends chips only outward.  The bulk steps of Dhar's
-    algorithm and of stabilization rely on this.  A ``lattice`` passed in
-    must be the LatticeHandle of exactly these firing rows; it spares
-    building their Hermite basis again.
+    algorithm and of stabilization rely on this.
     """
 
-    def __init__(self, firing_rows, period, weight, *, lattice=None):
+    def __init__(self, firing_rows, period, weight):
         n = len(firing_rows)
         if len(period) != n or len(weight) != n or any(len(r) != n for r in firing_rows):
             raise DimensionError("game components must have matching dimensions")
@@ -49,11 +47,7 @@ class Game:
             raise ValueError("period is not a strategy period: S^T F != 0")
         if any(sum(a * b for a, b in zip(row, weight)) for row in firing_rows):
             raise ValueError("weight is not conserved: F w != 0")
-        if lattice is None:
-            lattice = LatticeHandle(self.firing_rows)
-        elif lattice.generators != self.firing_rows:
-            raise ValueError("lattice is not generated by the firing rows")
-        self.lattice = lattice
+        self.lattice = LatticeHandle(self.firing_rows)
         if self.lattice.rank != n - 1:
             raise ValueError("firing lattice must have corank 1")
         self.sigma_cache = {}
@@ -93,9 +87,13 @@ def row_game(g):
 
 
 def column_game(g):
-    """Column chip-firing game; reuses the lattice whose kernel gave R."""
-    r, lattice = period_lattice(g)
-    return Game(lattice.generators, (1,) * g.n_vertices, r, lattice=lattice)
+    """Column chip-firing game on a strongly connected digraph."""
+    q = laplacian(g)
+    n = g.n_vertices
+    q_t = [[q[i][j] for i in range(n)] for j in range(n)]
+    r = period_vector(g)
+    one = (1,) * n
+    return Game(q_t, one, r)
 
 
 def scaled_game(game):

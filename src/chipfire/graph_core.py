@@ -97,18 +97,12 @@ def period_vector(g):
     Unique on a strongly connected digraph: the kernel of the Hermite basis
     of the rows of Q^T, whose sign convention already makes it positive.
     """
-    return period_lattice(g)[0]
-
-
-def period_lattice(g):
-    """(R, the LatticeHandle of the rows of Q^T whose kernel R is)."""
     if not is_strongly_connected(g):
         raise NotStronglyConnected("period vector requires strong connectivity")
-    lattice = LatticeHandle(list(zip(*laplacian(g))))
-    r = lattice.kernel()
+    r = LatticeHandle(list(zip(*laplacian(g)))).kernel()
     if any(v <= 0 for v in r):
         raise NotStronglyConnected("kernel vector is not strictly positive")
-    return r, lattice
+    return r
 
 
 class LatticeHandle:

@@ -6,9 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chipfire import fixtures
-from chipfire.arithmetical import associated_digraph
 from chipfire.errors import InvalidGraph, NotStronglyConnected
-from chipfire.games import Game, column_game
 from chipfire.graph_core import (
     LatticeHandle,
     build_digraph,
@@ -168,37 +166,3 @@ def test_scale_lattice():
     assert scaled.contains((2, -3, 0))
     assert scaled.contains((0, 3, -5))
     assert not scaled.contains((1, -1, 0))
-
-
-@pytest.mark.parametrize("make_graph", [
-    fixtures.k4u,
-    lambda: associated_digraph(fixtures.ex_b()),
-    lambda: associated_digraph(fixtures.star(5, 3)),
-], ids=["k4u", "assoc(ex_b)", "assoc(star(5,3))"])
-def test_column_game_builds_its_lattice_once(monkeypatch, make_graph):
-    graph = make_graph()
-    n = graph.n_vertices
-    q_t = [list(col) for col in zip(*laplacian(graph))]
-    separate = Game(q_t, (1,) * n, period_vector(graph))  # two Hermite bases
-    builds = []
-    real_init = LatticeHandle.__init__
-
-    def counting_init(self, generators):
-        builds.append(1)
-        real_init(self, generators)
-
-    monkeypatch.setattr(LatticeHandle, "__init__", counting_init)
-    game = column_game(graph)
-    assert len(builds) == 1
-    assert game.firing_rows == separate.firing_rows
-    assert game.lattice.pivots == separate.lattice.pivots
-    assert game.period == separate.period == (1,) * n
-    assert game.weight == separate.weight
-
-
-def test_game_rejects_a_lattice_of_other_rows():
-    rows = laplacian(fixtures.t3())
-    transposed = LatticeHandle([list(col) for col in zip(*rows)])
-    with pytest.raises(ValueError, match="not generated by the firing rows"):
-        Game(rows, (1, 1, 1), (1, 1, 1), lattice=transposed)
-    assert Game(rows, (1, 1, 1), (1, 1, 1), lattice=LatticeHandle(rows)).lattice.rank == 2
