@@ -14,8 +14,35 @@ The column game has F = Q^T, S = 1, w = R.  The chip game on an arithmetical
 graph (G, R) has F = Q = diag(delta) - A, S = w = R.
 """
 
+from operator import mul
+
 from .errors import DimensionError, InvalidBase
-from .graph_core import LatticeHandle, laplacian, period_vector
+from .graph_core import LatticeHandle, laplacian, pattern_strongly_connected, period_vector
+
+
+class _built_once:
+    """Non-data descriptor: the first read on an instance builds the value and
+    stores it as a plain instance attribute, which later reads find first.
+
+    ``functools.cached_property`` does the same through ``instance.__dict__``;
+    on CPython 3.11 that access turns the instance's inline attribute values
+    into a dict and makes every later attribute read on it about three times
+    slower.
+    """
+
+    def __init__(self, build):
+        self.build = build
+        self.__doc__ = build.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = self.build(obj)
+        setattr(obj, self.name, value)
+        return value
 
 
 class Game:
@@ -24,6 +51,13 @@ class Game:
     Every firing row has a positive diagonal entry and no positive entry off
     it: firing a vertex sends chips only outward.  The bulk steps of Dhar's
     algorithm and of stabilization rely on this.
+
+    With a positive period S and weight w, the rows form a singular M-matrix
+    with positive left and right kernel vectors.  Such a matrix has corank 1
+    exactly when it is irreducible (Perron-Frobenius): a reducible one splits
+    into diagonal blocks, each singular.  So corank 1 is checked as strong
+    connectivity of the firing pattern, and the Hermite basis is built only
+    when a lattice query first needs it.
     """
 
     def __init__(self, firing_rows, period, weight):
@@ -42,17 +76,22 @@ class Game:
         self.period = tuple(period)
         self.weight = tuple(weight)
         self.n_vertices = n
-        combo = [sum(s * row[i] for s, row in zip(period, firing_rows)) for i in range(n)]
-        if any(combo):
+        if any(sum(map(mul, self.period, col)) for col in zip(*self.firing_rows)):
             raise ValueError("period is not a strategy period: S^T F != 0")
-        if any(sum(a * b for a, b in zip(row, weight)) for row in firing_rows):
+        if any(sum(map(mul, row, self.weight)) for row in self.firing_rows):
             raise ValueError("weight is not conserved: F w != 0")
-        self.lattice = LatticeHandle(self.firing_rows)
-        if self.lattice.rank != n - 1:
+        if any(s <= 0 for s in self.period) or any(x <= 0 for x in self.weight):
+            raise ValueError("period and weight must be positive")
+        if not pattern_strongly_connected(self.firing_rows):
             raise ValueError("firing lattice must have corank 1")
         self.sigma_cache = {}
         self.rank_cache = {}
         self.eff_class_cache = []
+
+    @_built_once
+    def lattice(self):
+        """Hermite basis of the firing rows, built on the first lattice query."""
+        return LatticeHandle(self.firing_rows)
 
     def apply(self, divisor, strategy):
         """D - sum_j f[j] F[j], exact."""

@@ -77,9 +77,14 @@ def reachable(matrix, start):
 
 def is_strongly_connected(g):
     """True iff every ordered vertex pair is joined by a directed path."""
-    n = g.n_vertices
-    reverse = [[g.arcs[j][i] for j in range(n)] for i in range(n)]
-    return len(reachable(g.arcs, 0)) == n and len(reachable(reverse, 0)) == n
+    return pattern_strongly_connected(g.arcs)
+
+
+def pattern_strongly_connected(matrix):
+    """True iff the nonzero entries of a nonempty square matrix, read as arcs
+    i -> j, form a strongly connected digraph."""
+    n = len(matrix)
+    return n > 0 and all(len(reachable(m, 0)) == n for m in (matrix, tuple(zip(*matrix))))
 
 
 def laplacian(g):

@@ -90,10 +90,12 @@ DEFAULT_BUDGET = 10_000_000  # candidates a scan may visit unless told otherwise
 def stable_box(game, base, budget):
     """Every divisor with 0 <= D(v) < F[v][v] off the base and D(base) = 0.
 
-    Checks the base, then that the box size is within the budget, before
-    yielding the first divisor.
+    Checks the base, then the budget (ValueError if negative) and that the box
+    size is within it, before yielding the first divisor.
     """
     game.check_base(base)
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
     others = [v for v in range(game.n_vertices) if v != base]
     total = prod(game.threshold(v) for v in others)
     if total > budget:

@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from chipfire import fixtures
+from chipfire import fixtures, graph_core
 from chipfire.arithmetical import chip_game
 from chipfire.games import row_game
 
@@ -83,3 +83,17 @@ def random_arithmetical(rng):
 @pytest.fixture
 def rng():
     return random.Random(20260826)
+
+
+@pytest.fixture
+def lattice_builds(monkeypatch):
+    """Counts Hermite basis builds (LatticeHandle constructions)."""
+    count = [0]
+    init = graph_core.LatticeHandle.__init__
+
+    def counting_init(self, generators):
+        count[0] += 1
+        init(self, generators)
+
+    monkeypatch.setattr(graph_core.LatticeHandle, "__init__", counting_init)
+    return count

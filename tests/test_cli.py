@@ -446,3 +446,16 @@ def test_stdout_matches_streaming_encoder(capsys, monkeypatch, t3_file, exb_file
     out = capsys.readouterr().out
     assert len(payloads) == 1 and payloads[0][key]
     assert out == _streamed_json(payloads[0])
+
+
+@pytest.mark.parametrize("argv,builds", [
+    (["reduce", "--divisor=5,0,0,0,0,0"], 0),
+    (["dhar", "--divisor=0,0,0,0,0,0"], 0),
+    (["sandpile", "stabilize", "--divisor=0,7,1,2,3,4"], 0),
+    (["sandpile", "recurrent", "--divisor=0,1,2,2,1,1"], 0),
+    (["rank", "--divisor=1,1,1,1,1,1"], 1),
+], ids=["reduce", "dhar", "sandpile-stabilize", "sandpile-recurrent", "rank"])
+def test_only_lattice_queries_build_a_basis(capsys, lattice_builds, exb_file, argv, builds):
+    code, doc = run(capsys, argv[:-1] + [exb_file, argv[-1]])
+    assert code == 0 and doc
+    assert lattice_builds[0] == builds

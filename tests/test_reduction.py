@@ -3,9 +3,10 @@ import pytest
 from chipfire import fixtures, oracle
 from chipfire.arithmetical import associated_digraph, chip_game
 from chipfire.divisor_algebra import equivalent
-from chipfire.errors import NotSandpileForm
+from chipfire.errors import BudgetExceeded, NotSandpileForm
 from chipfire.games import Game, column_game, row_game, scaled_game
 from chipfire.graph_core import build_digraph, period_vector
+from chipfire.rank_extremes import enumerate_extremes
 from chipfire.reduction import (
     all_reduced_representatives,
     column_reduce,
@@ -14,6 +15,7 @@ from chipfire.reduction import (
     is_reduced,
     reduce,
 )
+from chipfire.sandpile import minimal_recurrents
 
 from conftest import sandpile_box, small_games
 
@@ -128,3 +130,16 @@ def test_scaled_column_game_is_row_game_on_eulerian_transform(g):
     assert scaled.firing_rows == hrow.firing_rows
     assert scaled.period == hrow.period
     assert scaled.weight == hrow.weight
+
+
+@pytest.mark.parametrize("scan", [enumerate_extremes, minimal_recurrents])
+@pytest.mark.parametrize("budget", [-1, -5])
+def test_scans_reject_a_negative_budget(scan, budget):
+    with pytest.raises(ValueError, match=f"budget must be nonnegative, got {budget}"):
+        scan(chip_game(fixtures.ex_a()), 0, budget=budget)
+
+
+@pytest.mark.parametrize("scan", [enumerate_extremes, minimal_recurrents])
+def test_scans_accept_a_zero_budget(scan):
+    with pytest.raises(BudgetExceeded, match="budget is 0"):
+        scan(chip_game(fixtures.ex_a()), 0, budget=0)
