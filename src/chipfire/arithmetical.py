@@ -5,12 +5,12 @@ from itertools import permutations
 from math import gcd
 
 from .errors import InvalidGraph, NotArithmetical, NotPrimitive
-from .divisor_algebra import degree, equivalent
-from .games import Game, column_game, scaled_game
+from .divisor_algebra import degree
+from .games import Game, column_game
 from .graph_core import DirectedMultigraph, reachable
 from .rank_extremes import enumerate_extremes
 from .reduction import DEFAULT_BUDGET
-from .riemann_roch import natural_divisor, rr_verdict
+from .riemann_roch import rr_verdict
 
 
 @dataclass(frozen=True)
@@ -105,19 +105,13 @@ def column_rr_always(ag, base=0, budget=DEFAULT_BUDGET):
 def digraph_natural_rr(ag, base=0, budget=DEFAULT_BUDGET):
     """Natural Riemann-Roch for the row game on the associated digraph.
 
-    The scaled chip game is the digraph row game, so the digraph canonical is
-    the transported chip canonical; natural Riemann-Roch holds iff it is
-    equivalent to the entrywise out-degree-minus-2 divisor in the scaled
-    lattice.
+    The scaled chip game is the digraph row game, whose canonical is the
+    transported chip canonical K' = R(K + 2) - 2 and whose natural divisor is
+    delta R - 2.  Their difference diag(R)(K - (delta - 2)) lies in the scaled
+    lattice iff K ~ delta - 2 in the chip lattice: the chip verdict's own
+    natural Riemann-Roch test.
     """
-    report = rr_verdict(chip_game(ag), base, budget=budget)
-    if not report.rr_property:
-        return False
-    scaled = scaled_game(chip_game(ag))
-    transported = tuple(
-        r * (k + 2) - 2 for r, k in zip(ag.multiplicities, report.canonical)
-    )
-    return equivalent(scaled.lattice, transported, natural_divisor(scaled))
+    return rr_verdict(chip_game(ag), base, budget=budget).natural_rr
 
 
 @dataclass(frozen=True)

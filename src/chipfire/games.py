@@ -109,6 +109,11 @@ class Game:
         if not 0 <= base < self.n_vertices:
             raise InvalidBase(f"base {base} is not in range({self.n_vertices})")
 
+    def check_divisor(self, divisor):
+        """Raise DimensionError unless the divisor has one entry per vertex."""
+        if len(divisor) != self.n_vertices:
+            raise DimensionError(f"divisor needs {self.n_vertices} entries, got {len(divisor)}")
+
     def threshold(self, v):
         """Diagonal entry F[v][v]: chips lost at v when v fires once."""
         return self.firing_rows[v][v]

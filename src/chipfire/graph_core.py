@@ -121,11 +121,10 @@ class LatticeHandle:
         if not generators:
             raise ValueError("need at least one generator")
         self.dim = len(generators[0])
-        self.generators = tuple(tuple(row) for row in generators)
         # pivots: list of (column, row) with strictly increasing columns,
         # row[column] > 0 and zeros left of the pivot column.
         pivots = []
-        for gen in self.generators:
+        for gen in generators:
             self._insert(pivots, list(gen))
         self._normalize(pivots)
         self.pivots = tuple((c, tuple(r)) for c, r in pivots)
@@ -236,10 +235,3 @@ def _xgcd(a, b):
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
 
-
-def scale_lattice(lattice, weights):
-    """The image of the lattice under coordinatewise multiplication by weights."""
-    scaled = [
-        [v * w for v, w in zip(gen, weights)] for gen in lattice.generators
-    ]
-    return LatticeHandle(scaled)

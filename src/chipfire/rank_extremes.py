@@ -80,6 +80,7 @@ def rank(game, base, divisor):
     degree come from the one-chip recursion.
     """
     game.check_base(base)
+    game.check_divisor(divisor)
     res = game.lattice.residue(divisor)
     memo = game.rank_cache
     if res in memo:

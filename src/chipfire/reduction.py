@@ -26,8 +26,9 @@ class DharTrace:
 
 
 def check_sandpile_form(game, base, divisor):
-    """Raise unless the base is a vertex and the divisor is nonnegative off it."""
+    """Raise unless base and divisor fit the game and the divisor is nonnegative off the base."""
     game.check_base(base)
+    game.check_divisor(divisor)
     if any(d < 0 for v, d in enumerate(divisor) if v != base):
         raise NotSandpileForm("divisor must be nonnegative away from the base")
 
@@ -136,6 +137,7 @@ def reduce(game, base, divisor):
     Step 2 applies failing Dhar terminals until the divisor is reduced.
     """
     game.check_base(base)
+    game.check_divisor(divisor)
     n = game.n_vertices
     rows = game.firing_rows
     dist = _bfs_layers(game, base)

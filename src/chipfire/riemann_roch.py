@@ -3,11 +3,11 @@
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 from .divisor_algebra import degree, equivalent
 from .errors import DimensionError
 from .games import scaled_game
-from .graph_core import scale_lattice
 from .rank_extremes import enumerate_extremes, rank
 from .reduction import DEFAULT_BUDGET, all_reduced_representatives
 
@@ -59,31 +59,36 @@ def reflection_invariant(extremes, lattice, weight):
     """Decide whether the negated critical set is a lattice translate of itself.
 
     Any valid translation must send some critical point to -p_0, so the
-    candidates are v = -p_0 - p_j.  Scaled by N = ||w||^2 the critical points
-    are integer vectors, and -p_i - v - p_k lies in the lattice iff
-    N (p_0 + p_j - p_i) and N p_k share a residue modulo N times the lattice;
-    so each candidate is k residue lookups, each hit the first point of its
-    class.
+    candidates are v = -p_0 - p_j, and -p_i - v - p_k is the projection of
+    nu_0 + nu_j - nu_i - nu_k for the extreme representatives nu.  The lattice
+    is orthogonal to w, so an integer x projects into it iff x is in
+    lattice + Z u, u = w / gcd(w); shifting x by multiples of u until x . u
+    lies in [0, u . u) and taking its residue keys that class.  So each
+    candidate is k key lookups, each hit the first class with that key.
 
     Returns (flag, translation witness or None, matching or None).
     """
-    points = crit_points(extremes, weight)
-    n_sq = sum(x * x for x in weight)
-    scaled = [tuple(int(x * n_sq) for x in p) for p in points]
-    residue = scale_lattice(lattice, (n_sq,) * len(weight)).residue
+    u = [x // gcd(*weight) for x in weight]
+    s = sum(x * x for x in u)
+
+    def key(x):
+        t = sum(a * b for a, b in zip(x, u)) // s
+        return lattice.residue([a - t * b for a, b in zip(x, u)])
+
+    reps = [cls.rep for cls in extremes.classes]
     first = {}
-    for i, p in enumerate(scaled):
-        first.setdefault(residue(p), i)
-    p0 = scaled[0]
-    for j, q in enumerate(scaled):
+    for i, nu in enumerate(reps):
+        first.setdefault(key(nu), i)
+    nu0 = reps[0]
+    for nu_j in reps:
         sigma = []
-        for p in scaled:
-            hit = first.get(residue([a + b - c for a, b, c in zip(p0, q, p)]))
+        for nu in reps:
+            hit = first.get(key([a + b - c for a, b, c in zip(nu0, nu_j, nu)]))
             if hit is None:
                 break
             sigma.append(hit)
-        if sorted(sigma) == list(range(len(points))):
-            translation = tuple(-a - b for a, b in zip(points[0], points[j]))
+        if sorted(sigma) == list(range(len(reps))):
+            translation = project(weight, [-a - b - 2 for a, b in zip(nu0, nu_j)])
             return True, translation, tuple(sigma)
     return False, None, None
 

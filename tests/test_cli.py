@@ -454,8 +454,21 @@ def test_stdout_matches_streaming_encoder(capsys, monkeypatch, t3_file, exb_file
     (["sandpile", "stabilize", "--divisor=0,7,1,2,3,4"], 0),
     (["sandpile", "recurrent", "--divisor=0,1,2,2,1,1"], 0),
     (["rank", "--divisor=1,1,1,1,1,1"], 1),
-], ids=["reduce", "dhar", "sandpile-stabilize", "sandpile-recurrent", "rank"])
+    (["rr-check", "--formula-box=0"], 1),
+], ids=["reduce", "dhar", "sandpile-stabilize", "sandpile-recurrent", "rank", "rr-check"])
 def test_only_lattice_queries_build_a_basis(capsys, lattice_builds, exb_file, argv, builds):
     code, doc = run(capsys, argv[:-1] + [exb_file, argv[-1]])
     assert code == 0 and doc
     assert lattice_builds[0] == builds
+
+
+def test_readme_rr_check_example(capsys, tmp_path):
+    """The README's rr-check example is what the CLI prints for the triangle."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("$ chipfire rr-check triangle.json --formula-box 1\n", 1)[1]
+    path = tmp_path / "triangle.json"
+    arcs = [[i, j, 1] for i in range(3) for j in range(3) if i != j]
+    path.write_text(json.dumps({"type": "digraph", "vertices": 3, "arcs": arcs}))
+    code, doc = run(capsys, ["rr-check", str(path), "--formula-box", "1"])
+    assert code == 0
+    assert doc == json.loads(block.split("```", 1)[0])

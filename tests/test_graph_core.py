@@ -14,7 +14,6 @@ from chipfire.graph_core import (
     laplacian,
     period_vector,
     reachable,
-    scale_lattice,
 )
 
 
@@ -159,10 +158,3 @@ def test_lattice_membership_fractional_rejection():
     assert not lat.contains((Fraction(3, 2), Fraction(-1)))
     assert not lat.contains((Fraction(1), Fraction(0)))
 
-
-def test_scale_lattice():
-    lat = LatticeHandle([(1, -1, 0), (0, 1, -1)])
-    scaled = scale_lattice(lat, (2, 3, 5))
-    assert scaled.contains((2, -3, 0))
-    assert scaled.contains((0, 3, -5))
-    assert not scaled.contains((1, -1, 0))

@@ -3,10 +3,10 @@ import pytest
 from chipfire import fixtures, oracle
 from chipfire.arithmetical import associated_digraph, chip_game
 from chipfire.divisor_algebra import equivalent
-from chipfire.errors import BudgetExceeded, NotSandpileForm
+from chipfire.errors import BudgetExceeded, DimensionError, NotSandpileForm
 from chipfire.games import Game, column_game, row_game, scaled_game
 from chipfire.graph_core import build_digraph, period_vector
-from chipfire.rank_extremes import enumerate_extremes
+from chipfire.rank_extremes import enumerate_extremes, rank
 from chipfire.reduction import (
     all_reduced_representatives,
     column_reduce,
@@ -15,7 +15,7 @@ from chipfire.reduction import (
     is_reduced,
     reduce,
 )
-from chipfire.sandpile import minimal_recurrents
+from chipfire.sandpile import is_recurrent, minimal_recurrents, stabilize
 
 from conftest import sandpile_box, small_games
 
@@ -41,6 +41,15 @@ def test_dhar_rejects_negative_off_base():
     game = row_game(fixtures.t3())
     with pytest.raises(NotSandpileForm):
         dhar(game, 0, (0, -1, 0))
+
+
+@pytest.mark.parametrize("entry", [reduce, dhar, is_reduced, stabilize, is_recurrent, rank],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("extra", [-1, 1], ids=["n-1", "n+1"])
+def test_entry_points_reject_a_divisor_of_the_wrong_length(entry, extra):
+    game = row_game(fixtures.k4u())
+    with pytest.raises(DimensionError):
+        entry(game, 0, (1,) * (game.n_vertices + extra))
 
 
 @pytest.mark.parametrize("name,game", small_games())

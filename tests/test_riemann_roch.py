@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from chipfire import fixtures
+from chipfire import fixtures, oracle
 from chipfire.arithmetical import associated_digraph, chip_game
 from chipfire.divisor_algebra import degree, equivalent
 from chipfire.errors import DimensionError
@@ -22,7 +22,7 @@ from chipfire.riemann_roch import (
     transport_canonical,
 )
 
-from conftest import random_arithmetical
+from conftest import random_arithmetical, uniform_only
 
 
 ALL_CHIP_GAMES = [
@@ -111,7 +111,12 @@ def _reflection_reference(extremes, lattice, weight):
 
 def _reflection_cases():
     cases = list(ALL_CHIP_GAMES)
-    for name, g in (("ex_b", associated_digraph(fixtures.ex_b())), ("k4u", fixtures.k4u())):
+    cases.append(("uniform only", chip_game(uniform_only())))
+    for name, g in (
+        ("ex_b", associated_digraph(fixtures.ex_b())),
+        ("k4u", fixtures.k4u()),
+        ("uniform only", associated_digraph(uniform_only())),
+    ):
         cases += [(f"row {name}", row_game(g)), (f"column {name}", column_game(g))]
     rng = random.Random(20261018)
     for i in range(12):
@@ -146,6 +151,25 @@ def test_verdicts_on_worked_examples():
     c = rr_verdict(chip_game(fixtures.ex_c()), 0)
     assert (c.uniform, c.reflection_invariant, c.rr_property) == (False, True, False)
     assert c.canonical is not None
+
+
+def test_uniform_only_verdict_is_certified():
+    """Uniform with g = 12 but not reflection invariant at base 0.  Each
+    class's reduced representatives are reduced by brute force and none is
+    effective, so the class is in Sigma; every one-chip bump has an effective
+    translate; the membership reference finds no translation."""
+    game = chip_game(uniform_only())
+    report = rr_verdict(game, 0)
+    assert (report.uniform, report.reflection_invariant, report.rr_property) == (True, False, False)
+    assert report.g == 12 and len(report.extremes.classes) == 3
+    for cls in report.extremes.classes:
+        assert cls.degree == 11
+        assert all(oracle.reduced_bruteforce(game, 0, rep) for rep in cls.all_reps)
+        assert all(min(rep) < 0 for rep in cls.all_reps)
+        for v in range(game.n_vertices):
+            bump = tuple(x + (u == v) for u, x in enumerate(cls.rep))
+            assert oracle.effective_bruteforce(game, bump, 3), (cls.rep, v)
+    assert _reflection_reference(report.extremes, game.lattice, game.weight)[0] is False
 
 
 def test_exb_rr_formula_holds():
