@@ -1,7 +1,8 @@
 """Command-line front end: JSON reports on stdout, diagnostics on stderr.
 
 Exit codes: 0 computed, 1 property-check failure, 2 invalid input,
-3 budget exceeded.
+3 budget exceeded.  Every request checks its inputs in one order: the graph
+file, the game, ``--base``, then the subcommand's own options.
 """
 
 import argparse
@@ -27,14 +28,6 @@ def _budget(args):
     if budget < 0:
         raise ChipfireError(f"{source} must be nonnegative, got {budget}")
     return budget
-
-
-def _game_for(graph, side):
-    if isinstance(graph, ArithmeticalGraph):
-        return chip_game(graph)
-    if side == "column":
-        return column_game(graph)
-    return row_game(graph)
 
 
 def _divisor(args, game):
@@ -80,18 +73,18 @@ def _report_json(report):
     return out
 
 
-def cmd_info(args):
-    graph = load_graph(args.graph)
+def _arith_summary(ag):
+    return {
+        "vertices": ag.n_vertices,
+        "multiplicities": list(ag.multiplicities),
+        "deltas": list(ag.deltas),
+        "g0": arithmetical.g0(ag),
+    }
+
+
+def cmd_info(args, graph):
     if isinstance(graph, ArithmeticalGraph):
-        _emit(
-            {
-                "type": "arithmetical",
-                "vertices": graph.n_vertices,
-                "multiplicities": list(graph.multiplicities),
-                "deltas": list(graph.deltas),
-                "g0": arithmetical.g0(graph),
-            }
-        )
+        _emit(dict(_arith_summary(graph), type="arithmetical"))
         return 0
     connected = is_strongly_connected(graph)
     out = {
@@ -106,9 +99,7 @@ def cmd_info(args):
     return 0
 
 
-def cmd_reduce(args):
-    graph = load_graph(args.graph)
-    game = _game_for(graph, args.game)
+def cmd_reduce(args, game):
     divisor = _divisor(args, game)
     reduced, strategy = reduction.reduce(game, args.base, divisor)
     if args.trace:
@@ -119,9 +110,7 @@ def cmd_reduce(args):
     return 0
 
 
-def cmd_dhar(args):
-    graph = load_graph(args.graph)
-    game = _game_for(graph, args.game)
+def cmd_dhar(args, game):
     divisor = _divisor(args, game)
     trace = reduction.dhar(game, args.base, divisor)
     _emit(
@@ -135,29 +124,21 @@ def cmd_dhar(args):
     return 0
 
 
-def cmd_rank(args):
-    graph = load_graph(args.graph)
-    game = _game_for(graph, args.game)
+def cmd_rank(args, game):
     divisor = _divisor(args, game)
     _emit({"rank": rank_extremes.rank(game, args.base, divisor)})
     return 0
 
 
-def cmd_extremes(args):
-    graph = load_graph(args.graph)
-    game = _game_for(graph, args.game)
-    extremes = rank_extremes.enumerate_extremes(
-        game, args.base, budget=_budget(args)
-    )
+def cmd_extremes(args, game):
+    extremes = rank_extremes.enumerate_extremes(game, args.base, budget=_budget(args))
     _emit(_extremes_json(extremes))
     return 0
 
 
-def cmd_rr_check(args):
+def cmd_rr_check(args, game):
     if args.formula_box < 0:
         raise ChipfireError(f"--formula-box must be nonnegative, got {args.formula_box}")
-    graph = load_graph(args.graph)
-    game = _game_for(graph, args.game)
     report = riemann_roch.rr_verdict(game, args.base, budget=_budget(args))
     out = _report_json(report)
     if args.formula_box and report.rr_property:
@@ -165,75 +146,48 @@ def cmd_rr_check(args):
             game, args.base, report, args.formula_box
         )
     _emit(out)
-    if "formula_ok" in out and not out["formula_ok"]:
-        return 1
-    return 0
+    return 0 if out.get("formula_ok", True) else 1
 
 
-def cmd_sandpile(args):
-    graph = load_graph(args.graph)
-    game = _game_for(graph, args.game)
+def cmd_sandpile(args, game):
+    if args.action == "minimal":
+        configs = sandpile.minimal_recurrents(game, args.base, budget=_budget(args))
+        _emit({"minimal_recurrents": [list(c) for c in configs]})
+        return 0
+    divisor = _divisor(args, game)
     if args.action == "stabilize":
-        divisor = _divisor(args, game)
         stable, fired = sandpile.stabilize(game, args.base, divisor)
         _emit({"stable": list(stable), "fired": list(fired)})
-        return 0
-    if args.action == "recurrent":
-        divisor = _divisor(args, game)
+    else:
         _emit({"recurrent": sandpile.is_recurrent(game, args.base, divisor)})
-        return 0
-    configs = sandpile.minimal_recurrents(game, args.base, budget=_budget(args))
-    _emit({"minimal_recurrents": [list(c) for c in configs]})
     return 0
 
 
-def cmd_arith(args):
+def cmd_arith(args, graph):
     if args.action == "star":
         if args.r0 is None or args.r1 is None:
             raise ChipfireError("arith star needs --r0 and --r1")
-        ag = fixtures.star(args.r0, args.r1)
-        _emit(
-            {
-                "vertices": ag.n_vertices,
-                "multiplicities": list(ag.multiplicities),
-                "deltas": list(ag.deltas),
-                "g0": arithmetical.g0(ag),
-            }
-        )
+        _emit(_arith_summary(fixtures.star(args.r0, args.r1)))
         return 0
-    graph = load_graph(args.graph)
     if not isinstance(graph, ArithmeticalGraph):
         raise ChipfireError("this subcommand needs an arithmetical graph")
+    if args.action == "check":
+        ok = arithmetical.gmax_bound_check(graph, base=args.base, budget=_budget(args))
+        _emit({"gmax_le_g0": ok})
+        return 0 if ok else 1
     if args.action == "validate":
         _emit({"deltas": list(graph.deltas), "valid": True})
-        return 0
-    if args.action == "g0":
+    elif args.action == "g0":
         _emit({"g0": arithmetical.g0(graph)})
-        return 0
-    if args.action == "digraph":
+    else:
         digraph = arithmetical.associated_digraph(graph)
-        _emit(
-            {
-                "vertices": digraph.n_vertices,
-                "arcs": [
-                    [i, j, digraph.arcs[i][j]]
-                    for i in range(digraph.n_vertices)
-                    for j in range(digraph.n_vertices)
-                    if digraph.arcs[i][j]
-                ],
-                "period_vector": list(period_vector(digraph)),
-            }
-        )
-        return 0
-    ok = arithmetical.gmax_bound_check(graph, base=args.base, budget=_budget(args))
-    _emit({"gmax_le_g0": ok})
-    return 0 if ok else 1
+        arcs = [[i, j, m] for i, row in enumerate(digraph.arcs) for j, m in enumerate(row) if m]
+        period = list(period_vector(digraph))
+        _emit({"vertices": digraph.n_vertices, "arcs": arcs, "period_vector": period})
+    return 0
 
 
-def cmd_oracle(args):
-    graph = load_graph(args.graph)
-    game = _game_for(graph, args.game)
-    game.check_base(args.base)
+def cmd_oracle(args, game):
     if args.box < 0:
         raise ChipfireError(f"--box must be nonnegative, got {args.box}")
     divisor = _divisor(args, game)
@@ -246,67 +200,49 @@ def cmd_oracle(args):
     return 0
 
 
-def _add_common(parser, divisor=True):
-    parser.add_argument("graph", help="graph JSON file")
-    parser.add_argument("--base", type=int, default=0)
-    parser.add_argument("--game", choices=("row", "column"), default="row")
-    parser.add_argument("--budget", type=int, default=None)
-    if divisor:
-        parser.add_argument("--divisor", default=None)
+_GRAPH_FILE = {"help": "graph JSON file"}
+_OPTIONS = {
+    "--base": {"type": int, "default": 0},
+    "--game": {"choices": ("row", "column"), "default": "row"},
+    "--budget": {"type": int, "default": None},
+    "--divisor": {"default": None},
+}
+_SCAN_OPTIONS = ("--base", "--game", "--budget")
+
+
+def _subcommand(sub, name, func, actions=(), graph=_GRAPH_FILE, options=tuple(_OPTIONS)):
+    """One subparser: the action if it has one, then the graph file and shared options."""
+    p = sub.add_parser(name)
+    if actions:
+        p.add_argument("action", choices=actions)
+    p.add_argument("graph", **graph)
+    for option in options:
+        p.add_argument(option, **_OPTIONS[option])
+    p.set_defaults(func=func)
+    return p
 
 
 def build_parser():
     parser = argparse.ArgumentParser(prog="chipfire")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("info")
-    p.add_argument("graph")
-    p.set_defaults(func=cmd_info)
-
-    p = sub.add_parser("reduce")
-    _add_common(p)
-    p.add_argument("--trace", action="store_true")
-    p.set_defaults(func=cmd_reduce)
-
-    p = sub.add_parser("dhar")
-    _add_common(p)
-    p.set_defaults(func=cmd_dhar)
-
-    p = sub.add_parser("rank")
-    _add_common(p)
-    p.set_defaults(func=cmd_rank)
-
-    p = sub.add_parser("extremes")
-    _add_common(p, divisor=False)
-    p.set_defaults(func=cmd_extremes)
-
-    p = sub.add_parser("rr-check")
-    _add_common(p, divisor=False)
-    p.add_argument("--formula-box", type=int, default=0, dest="formula_box")
-    p.set_defaults(func=cmd_rr_check)
-
-    p = sub.add_parser("sandpile")
-    p.add_argument("action", choices=("stabilize", "recurrent", "minimal"))
-    _add_common(p)
-    p.set_defaults(func=cmd_sandpile)
-
-    p = sub.add_parser("arith")
-    p.add_argument(
-        "action", choices=("validate", "g0", "digraph", "star", "check")
+    _subcommand(sub, "info", cmd_info, graph={}, options=())
+    _subcommand(sub, "reduce", cmd_reduce).add_argument("--trace", action="store_true")
+    _subcommand(sub, "dhar", cmd_dhar)
+    _subcommand(sub, "rank", cmd_rank)
+    _subcommand(sub, "extremes", cmd_extremes, options=_SCAN_OPTIONS)
+    _subcommand(sub, "rr-check", cmd_rr_check, options=_SCAN_OPTIONS).add_argument(
+        "--formula-box", type=int, default=0, dest="formula_box"
     )
-    p.add_argument("graph", nargs="?", default=None)
-    p.add_argument("--base", type=int, default=0)
-    p.add_argument("--budget", type=int, default=None)
+    _subcommand(sub, "sandpile", cmd_sandpile, ("stabilize", "recurrent", "minimal"))
+    p = _subcommand(
+        sub, "arith", cmd_arith, ("validate", "g0", "digraph", "star", "check"),
+        graph={"nargs": "?", "default": None}, options=("--base", "--budget"),
+    )
     p.add_argument("--r0", type=int, default=None)
     p.add_argument("--r1", type=int, default=None)
-    p.set_defaults(func=cmd_arith)
-
-    p = sub.add_parser("oracle")
-    p.add_argument("action", choices=("rank", "effective", "reduced"))
-    _add_common(p)
-    p.add_argument("--box", type=int, default=3)
-    p.set_defaults(func=cmd_oracle)
-
+    _subcommand(sub, "oracle", cmd_oracle, ("rank", "effective", "reduced")).add_argument(
+        "--box", type=int, default=3
+    )
     return parser
 
 
@@ -316,17 +252,34 @@ def _shared_parser():
     return build_parser()
 
 
+def _request_input(args):
+    """The graph a request works on, or its game if the subcommand takes ``--game``."""
+    if args.command == "arith" and args.action == "star":
+        return None
+    if args.graph is None:
+        raise ChipfireError(f"arith {args.action} needs a graph file")
+    graph = load_graph(args.graph)
+    if "game" not in args:
+        return graph
+    if isinstance(graph, ArithmeticalGraph):
+        game = chip_game(graph)
+    else:
+        game = (column_game if args.game == "column" else row_game)(graph)
+    game.check_base(args.base)
+    return game
+
+
 def main(argv=None):
     try:
         args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        return args.func(args, _request_input(args))
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
-    except (ChipfireError, FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
+    except (ChipfireError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

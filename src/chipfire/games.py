@@ -18,6 +18,7 @@ from operator import mul
 
 from .errors import DimensionError, InvalidBase
 from .graph_core import LatticeHandle, laplacian, pattern_strongly_connected, period_vector
+from .graph_core import _transposed_lattice
 
 
 class _built_once:
@@ -131,13 +132,15 @@ def row_game(g):
 
 
 def column_game(g):
-    """Column chip-firing game on a strongly connected digraph."""
-    q = laplacian(g)
-    n = g.n_vertices
-    q_t = [[q[i][j] for i in range(n)] for j in range(n)]
-    r = period_vector(g)
-    one = (1,) * n
-    return Game(q_t, one, r)
+    """Column chip-firing game on a strongly connected digraph.
+
+    Its firing rows are Q^T, so the basis behind the period vector is the
+    game's lattice and is kept rather than built again.
+    """
+    lattice, r = _transposed_lattice(g)
+    game = Game(list(zip(*laplacian(g))), (1,) * g.n_vertices, r)
+    game.lattice = lattice
+    return game
 
 
 def scaled_game(game):

@@ -102,12 +102,18 @@ def period_vector(g):
     Unique on a strongly connected digraph: the kernel of the Hermite basis
     of the rows of Q^T, whose sign convention already makes it positive.
     """
+    return _transposed_lattice(g)[1]
+
+
+def _transposed_lattice(g):
+    """(Hermite basis of the rows of Q^T, period vector R), for the column game."""
     if not is_strongly_connected(g):
         raise NotStronglyConnected("period vector requires strong connectivity")
-    r = LatticeHandle(list(zip(*laplacian(g)))).kernel()
+    lattice = LatticeHandle(list(zip(*laplacian(g))))
+    r = lattice.kernel()
     if any(v <= 0 for v in r):
         raise NotStronglyConnected("kernel vector is not strictly positive")
-    return r
+    return lattice, r
 
 
 class LatticeHandle:

@@ -16,6 +16,7 @@ from .riemann_roch import natural_divisor
 
 
 def is_stable(game, base, divisor):
+    game.check_divisor(divisor)
     return all(
         divisor[v] < game.threshold(v)
         for v in range(game.n_vertices)
@@ -61,6 +62,7 @@ def stabilize(game, base, divisor, step_cap=None):
 
 def dual_divisor(game, divisor):
     """The recurrence dual: entrywise threshold - 1 - D."""
+    game.check_divisor(divisor)
     return tuple(
         game.threshold(v) - 1 - divisor[v] for v in range(game.n_vertices)
     )

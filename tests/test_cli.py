@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import importlib
 import io
 import json
@@ -9,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from chipfire.cli import build_parser, main
 
@@ -455,9 +458,14 @@ def test_stdout_matches_streaming_encoder(capsys, monkeypatch, t3_file, exb_file
     (["sandpile", "recurrent", "--divisor=0,1,2,2,1,1"], 0),
     (["rank", "--divisor=1,1,1,1,1,1"], 1),
     (["rr-check", "--formula-box=0"], 1),
-], ids=["reduce", "dhar", "sandpile-stabilize", "sandpile-recurrent", "rank", "rr-check"])
-def test_only_lattice_queries_build_a_basis(capsys, lattice_builds, exb_file, argv, builds):
-    code, doc = run(capsys, argv[:-1] + [exb_file, argv[-1]])
+    (["rank", "--game=column", "--divisor=-1,0,0"], 1),
+], ids=["reduce", "dhar", "sandpile-stabilize", "sandpile-recurrent", "rank", "rr-check",
+        "rank-column"])
+def test_only_lattice_queries_build_a_basis(capsys, lattice_builds, exb_file, t3_file, argv,
+                                            builds):
+    """The column game keeps the basis behind its period vector as its lattice."""
+    graph = t3_file if "--game=column" in argv else exb_file
+    code, doc = run(capsys, argv[:-1] + [graph, argv[-1]])
     assert code == 0 and doc
     assert lattice_builds[0] == builds
 
@@ -472,3 +480,125 @@ def test_readme_rr_check_example(capsys, tmp_path):
     code, doc = run(capsys, ["rr-check", str(path), "--formula-box", "1"])
     assert code == 0
     assert doc == json.loads(block.split("```", 1)[0])
+
+
+@pytest.mark.parametrize("action", ["validate", "g0", "digraph", "check"])
+def test_arith_without_a_graph_file_exits_2(capsys, action):
+    assert main(["arith", action]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"arith {action} needs a graph file" in captured.err
+
+
+def test_directory_as_graph_file_exits_2(capsys, tmp_path):
+    assert main(["info", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_request_inputs_are_checked_in_one_order(capsys, tmp_path, t3_file):
+    """Of two bad inputs, the one earlier in the request order is reported."""
+    assert main(["reduce", t3_file, "--base", "9", "--divisor=x"]) == 2
+    assert "base 9 is not in range(3)" in capsys.readouterr().err
+    missing = str(tmp_path / "missing.json")
+    assert main(["rr-check", missing, "--formula-box", "-1"]) == 2
+    assert "missing.json" in capsys.readouterr().err
+
+
+COMMANDS = (
+    [["info"], ["reduce"], ["dhar"], ["rank"], ["extremes"], ["rr-check"]]
+    + [["sandpile", a] for a in ("stabilize", "recurrent", "minimal")]
+    + [["arith", a] for a in ("validate", "g0", "digraph", "star", "check")]
+    + [["oracle", a] for a in ("rank", "effective", "reduced")]
+)
+GAME_COMMANDS = {"reduce", "dhar", "rank", "extremes", "rr-check", "sandpile", "oracle"}
+DIVISOR_COMMANDS = {"reduce", "dhar", "rank", "sandpile", "oracle"}
+
+
+@st.composite
+def graph_documents(draw, arithmetical):
+    """JSON text of a graph with at most 4 vertices, valid or with one bad number."""
+    n = draw(st.integers(2, 4))
+    mults = draw(st.lists(st.sampled_from([1, 2, 3, 0]), min_size=n * n, max_size=n * n))
+    if not arithmetical:
+        rows = [[i, j, mults[i * n + j]] for i in range(n) for j in range(n)
+                if i != j and mults[i * n + j]]
+        doc = {"type": "digraph", "vertices": n, "arcs": rows}
+    else:
+        rows = [[i, j, mults[i * n + j]] for i in range(n) for j in range(i + 1, n)
+                if mults[i * n + j]]
+        r = draw(st.sampled_from([[1] * n, [1] * n, [1] * (n - 1) + [2], [2, 3, 3, 3][:n]]))
+        doc = {"type": "arithmetical", "vertices": n, "edges": rows, "multiplicities": r}
+    bad = draw(st.sampled_from([None] * 20 + [1.5, 2.0, True]))
+    if bad is not None:
+        if rows and draw(st.booleans()):
+            rows[0][2] = bad
+        else:
+            doc["vertices"] = bad
+    return json.dumps(doc), n
+
+
+@st.composite
+def cli_requests(draw, workdir):
+    """argv for one request on a graph file written into workdir."""
+    command = draw(st.sampled_from(COMMANDS))
+    name = command[0]
+    source = draw(st.sampled_from(
+        ["graph"] * 12 + ["[1, 2]", "3", "not json", "missing", "directory", "none"]
+    ))
+    n = 3
+    if source == "graph":
+        text, n = draw(graph_documents(name == "arith" or draw(st.booleans())))
+        path = workdir / "g.json"
+        path.write_text(text)
+    elif source in ("[1, 2]", "3", "not json"):
+        path = workdir / "g.json"
+        path.write_text(source)
+    elif source == "directory":
+        path = workdir
+    else:
+        path = workdir / "missing.json"
+    argv = list(command) + ([] if source == "none" else [str(path)])
+    if name in GAME_COMMANDS or name == "arith":
+        argv.append(f"--base={draw(st.sampled_from([*range(n)] * 3 + [*range(-2, 6)]))}")
+        if draw(st.booleans()):
+            argv.append(f"--budget={draw(st.integers(-1, 50))}")
+    if name in GAME_COMMANDS:
+        argv.append(f"--game={draw(st.sampled_from(['row', 'column']))}")
+    if name in DIVISOR_COMMANDS:
+        length = n + draw(st.sampled_from([0] * 6 + [-1, 1]))
+        entries = draw(st.lists(st.sampled_from([*range(7), *range(-6, 0)]),
+                                min_size=length, max_size=length))
+        literal = draw(st.sampled_from([",".join(map(str, entries))] * 6 + ["x", "1,,2", ""]))
+        if draw(st.sampled_from([True] * 9 + [False])):
+            argv.append(f"--divisor={literal}")
+    if name == "oracle":
+        argv.append(f"--box={draw(st.integers(-1, 1))}")
+    if name == "rr-check" and draw(st.booleans()):
+        argv.append(f"--formula-box={draw(st.integers(-1, 1))}")
+    if name == "reduce" and draw(st.booleans()):
+        argv.append("--trace")
+    if command == ["arith", "star"]:
+        argv += [f"--r0={draw(st.integers(-1, 6))}", f"--r1={draw(st.integers(-1, 6))}"]
+    return argv
+
+
+@settings(max_examples=600, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_requests_exit_0_to_3_without_raising(tmp_path, data):
+    """Any argv and graph file: an exit code in {0, 1, 2, 3}, never an exception.
+
+    Exit 1 means a requested property check failed, so only ``rr-check
+    --formula-box`` and ``arith check`` may return it.  Divisor entries stay
+    small because ``rank`` takes no budget.
+    """
+    argv = data.draw(cli_requests(tmp_path))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    if code == 1:
+        assert argv[:2] == ["arith", "check"] or (
+            argv[0] == "rr-check" and any(a.startswith("--formula-box=") for a in argv)
+        )

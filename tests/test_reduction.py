@@ -15,7 +15,7 @@ from chipfire.reduction import (
     is_reduced,
     reduce,
 )
-from chipfire.sandpile import is_recurrent, minimal_recurrents, stabilize
+from chipfire.sandpile import dual_divisor, is_recurrent, is_stable, minimal_recurrents, stabilize
 
 from conftest import sandpile_box, small_games
 
@@ -43,7 +43,12 @@ def test_dhar_rejects_negative_off_base():
         dhar(game, 0, (0, -1, 0))
 
 
-@pytest.mark.parametrize("entry", [reduce, dhar, is_reduced, stabilize, is_recurrent, rank],
+def dual_divisor_at(game, base, divisor):
+    return dual_divisor(game, divisor)
+
+
+@pytest.mark.parametrize("entry", [reduce, dhar, is_reduced, stabilize, is_recurrent, rank,
+                                   is_stable, dual_divisor_at],
                          ids=lambda f: f.__name__)
 @pytest.mark.parametrize("extra", [-1, 1], ids=["n-1", "n+1"])
 def test_entry_points_reject_a_divisor_of_the_wrong_length(entry, extra):
