@@ -24,7 +24,14 @@ def _budget(args):
     source, budget = "--budget", args.budget
     if budget is None:
         env = os.environ.get("CHIPFIRE_BUDGET")
-        source, budget = "CHIPFIRE_BUDGET", int(env) if env else DEFAULT_BUDGET
+        source, budget = "CHIPFIRE_BUDGET", DEFAULT_BUDGET
+        if env:
+            try:
+                budget = int(env)
+            except ValueError:
+                raise ChipfireError(
+                    f"CHIPFIRE_BUDGET must be a nonnegative integer, got {env!r}"
+                ) from None
     if budget < 0:
         raise ChipfireError(f"{source} must be nonnegative, got {budget}")
     return budget

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 from itertools import product
 from math import prod
 
-from .errors import BudgetExceeded, NotSandpileForm, NotStronglyConnected
+from .errors import BudgetExceeded, NotSandpileForm
 from . import games as _games
 
 
@@ -33,44 +33,54 @@ def check_sandpile_form(game, base, divisor):
         raise NotSandpileForm("divisor must be nonnegative away from the base")
 
 
-def _burn(game, base, divisor, steps=None, witnesses=None):
+def _burn(game, base, divisor, steps=None, witnesses=None, start=None):
     """The generalized Dhar loop; returns the terminal strategy.
 
-    Start at f = S.  While some non-base vertex v is in debt under D - f F,
-    decrement f[v] by ceil(debt / F[v][v]) at once; otherwise decrement the
-    base while its count is positive.  Un-firing one vertex never lifts
-    another out of debt (off-diagonal entries are <= 0), so each of those
-    decrements is forced and the terminal equals the unit-step loop's.
-    Without a trace the base drops to 0 in one step, since the loop only
-    stops there; with one (``steps`` and ``witnesses`` lists) the base steps
-    by one, recording D - f F before each base decrement as a reduced witness.
+    Start at f = S, or at start * S.  Sweep the non-base vertices in debt
+    under D - f F in index order, decrementing each f[v] by
+    ceil(debt / F[v][v]) at once; when none is in debt, decrement the base
+    while its count is positive.  Un-firing one vertex never lifts another
+    out of debt (off-diagonal entries are <= 0), so a debtor stays one until
+    its turn and each decrement is forced: the terminal is the greatest
+    strategy below the start with f[base] = 0 that leaves D - f F out of
+    debt off the base, and from S it equals the unit-step loop's.  Without a
+    trace the base drops to 0 in one step, since the loop only stops there;
+    with one (``steps`` and ``witnesses`` lists) the base steps by one,
+    recording D - f F before each base decrement as a reduced witness.
+
+    Without ``start`` the divisor must be in sandpile form, and the terminal
+    is nonnegative.  ``reduce`` passes a multiple ``start`` and any divisor;
+    that terminal may be negative.
     """
-    check_sandpile_form(game, base, divisor)
+    if start is None:
+        check_sandpile_form(game, base, divisor)
+        f = list(game.period)
+    else:
+        f = [start * s for s in game.period]
     n = game.n_vertices
     rows = game.firing_rows
-    f = list(game.period)
-    current = list(divisor)  # D - f F with f = S is D itself
+    current = list(divisor)  # D - f F with f a multiple of S is D itself
     while True:
-        v = next((u for u in range(n) if u != base and current[u] < 0), None)
-        if v is not None:
-            k = -(current[v] // rows[v][v])
-        elif f[base] > 0:
-            v = base
-            if witnesses is None:
-                k = f[base]
-            else:
-                k = 1
+        debtors = [u for u in range(n) if u != base and current[u] < 0]
+        if not debtors:
+            if f[base] == 0:
+                return f
+            if witnesses is not None:
                 witnesses.append(tuple(current))
-        else:
-            return f
-        if f[v] < k:
-            raise AssertionError("Dhar strategy went negative")
-        f[v] -= k
-        row = rows[v]
-        for i in range(n):
-            current[i] += k * row[i]
-        if steps is not None:
-            steps.append((tuple(f), v))
+            debtors = [base]
+        for v in debtors:
+            if v != base:
+                k = -(current[v] // rows[v][v])
+            else:
+                k = 1 if witnesses is not None else f[base]
+            if f[v] < k and start is None:
+                raise AssertionError("Dhar strategy went negative")
+            f[v] -= k
+            row = rows[v]
+            for i in range(n):
+                current[i] += k * row[i]
+            if steps is not None:
+                steps.append((tuple(f), v))
 
 
 def dhar(game, base, divisor):
@@ -105,64 +115,28 @@ def stable_box(game, base, budget):
         yield combo[:base] + (0,) + combo[base:]
 
 
-def _bfs_layers(game, base):
-    """Distance layers from the base along chip-flow arcs (negative entries)."""
-    n = game.n_vertices
-    rows = game.firing_rows
-    dist = [None] * n
-    dist[base] = 0
-    frontier = [base]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for u in frontier:
-            for v in range(n):
-                if rows[u][v] < 0 and dist[v] is None:
-                    dist[v] = d
-                    nxt.append(v)
-        frontier = nxt
-    if any(x is None for x in dist):
-        raise NotStronglyConnected("some vertex receives no chips from the base")
-    return dist
-
-
 def reduce(game, base, divisor):
     """A reduced divisor equivalent to the input, plus the strategy used.
 
-    Step 1 clears debt layer by layer: for each distance layer, farthest
-    first, fire the set of strictly nearer vertices enough times to lift the
-    layer out of debt.  Vertices farther than the fired set only gain chips,
-    so a single descending pass leaves everything except the base nonnegative.
-    Step 2 applies failing Dhar terminals until the divisor is reduced.
+    The strategies f with f[base] = 0 that leave D - f F out of debt off the
+    base are closed under entrywise max, and their greatest, g, gives the
+    reduced divisor D - g F.  The Dhar loop started from t * S descends to g
+    once g <= t * S, so t doubles until the result is reduced.  The strategy
+    is 0 at the base; when every other f[v] <= (t - 1) * S[v], no valid
+    strategy lies above f and the reducedness check is skipped.
     """
     game.check_base(base)
     game.check_divisor(divisor)
-    n = game.n_vertices
-    rows = game.firing_rows
-    dist = _bfs_layers(game, base)
-    current = list(divisor)
-    total = [0] * n
-    for layer in range(max(dist), 0, -1):
-        need = max(
-            (-current[v] for v in range(n) if dist[v] == layer), default=0
-        )
-        if need <= 0:
-            continue
-        inner = [v for v in range(n) if dist[v] < layer]
-        for u in inner:
-            total[u] += need
-            row = rows[u]
-            for i in range(n):
-                current[i] -= need * row[i]
+    period = game.period
+    t = 1
     while True:
-        terminal = _burn(game, base, current)
-        if not any(terminal):
-            break
-        for v in range(n):
-            total[v] += terminal[v]
-        current = list(game.apply(current, terminal))
-    return tuple(current), tuple(total)
+        f = _burn(game, base, divisor, start=t)
+        current = game.apply(divisor, f)
+        if all(x <= (t - 1) * s for x, s in zip(f, period)) or is_reduced(
+            game, base, current
+        ):
+            return current, tuple(f)
+        t *= 2
 
 
 def all_reduced_representatives(game, base, divisor):

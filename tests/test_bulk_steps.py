@@ -17,10 +17,11 @@ from chipfire.sandpile import stabilize
 from conftest import random_arithmetical, small_games
 
 
-def unit_dhar(game, base, divisor):
-    """(terminal, reduced witnesses, unit decrements) of the unit-step loop."""
+def unit_dhar(game, base, divisor, start=None):
+    """(terminal, reduced witnesses, unit decrements) of the unit-step loop,
+    from S or, given ``start``, from start * S."""
     n = game.n_vertices
-    f = list(game.period)
+    f = [(start or 1) * s for s in game.period]
     current = list(divisor)
     witnesses = []
     decrements = 0
@@ -31,7 +32,7 @@ def unit_dhar(game, base, divisor):
                 return tuple(f), tuple(witnesses), decrements
             witnesses.append(tuple(current))
             v = base
-        assert f[v] > 0
+        assert f[v] > 0 or start is not None
         f[v] -= 1
         decrements += 1
         for i, x in enumerate(game.firing_rows[v]):
@@ -89,6 +90,25 @@ def test_bulk_loops_match_unit_step_references(name, game):
             if firings:
                 with pytest.raises(RuntimeError):
                     stabilize(game, base, d, step_cap=firings - 1)
+
+
+@pytest.mark.parametrize("name,game", games_under_test())
+def test_started_burn_matches_unit_step_reference(name, game):
+    """From t * S, on divisors with debt off the base, as ``reduce`` runs it."""
+    rng = random.Random(name)
+    n = game.n_vertices
+    for base in range(n):
+        for _ in range(40):
+            start = rng.randint(1, 3)
+            d = tuple(
+                rng.randint(-2 * game.threshold(v), 2 * game.threshold(v)) for v in range(n)
+            )
+            terminal, witnesses, decrements = unit_dhar(game, base, d, start)
+            steps, traced = [], []
+            assert tuple(_burn(game, base, d, steps, traced, start)) == terminal, (base, d)
+            assert tuple(traced) == witnesses, (base, d)
+            assert start * sum(game.period) - sum(terminal) == decrements
+            assert tuple(_burn(game, base, d, start=start)) == terminal, (base, d)
 
 
 def test_game_rejects_firing_rows_that_send_chips_inward():

@@ -97,6 +97,24 @@ def test_reduce_roundtrip(capsys, t3_file):
     assert sum(doc["reduced"]) == 5
 
 
+def test_reduce_of_a_huge_divisor_returns(tmp_path):
+    """Run in a subprocess with a timeout: reduce once took a Dhar run per
+    chip or two of imbalance, so this request never returned."""
+    path = tmp_path / "k4u.json"
+    arcs = [[i, j, 1] for i in range(4) for j in range(4) if i != j]
+    path.write_text(json.dumps({"type": "digraph", "vertices": 4, "arcs": arcs}))
+    m = 10**20
+    package_root = Path(importlib.import_module("chipfire").__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "chipfire.cli", "reduce", str(path), f"--divisor={m},0,0,{-m}"],
+        capture_output=True, text=True, timeout=20,
+        env=dict(os.environ, PYTHONPATH=str(package_root)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc == {"reduced": [0, 0, 0, 0], "strategy": [0, -m // 4, -m // 4, -m // 2]}
+
+
 def test_dhar_reports_reducedness(capsys, t3_file):
     code, doc = run(capsys, ["dhar", t3_file, "--divisor", "0,0,0"])
     assert code == 0
@@ -346,7 +364,8 @@ def test_console_script_installed(t3_file):
     ["extremes"], ["rr-check"], ["sandpile", "minimal"], ["arith", "check"],
 ], ids=["extremes", "rr-check", "sandpile-minimal", "arith-check"])
 def test_negative_budget_exits_2(capsys, monkeypatch, exa_file, argv):
-    """A negative budget is invalid input, from the flag or the environment."""
+    """A negative budget is invalid input, from the flag or the environment,
+    and so is an environment value that is not an integer."""
     assert main([*argv, exa_file, "--budget", "-5"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -356,6 +375,11 @@ def test_negative_budget_exits_2(capsys, monkeypatch, exa_file, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "CHIPFIRE_BUDGET must be nonnegative, got -3" in captured.err
+    monkeypatch.setenv("CHIPFIRE_BUDGET", "abc")
+    assert main([*argv, exa_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "CHIPFIRE_BUDGET must be a nonnegative integer, got 'abc'" in captured.err
 
 
 def test_zero_budget_is_valid(capsys, monkeypatch, exa_file):
@@ -568,7 +592,8 @@ def cli_requests(draw, workdir):
         argv.append(f"--game={draw(st.sampled_from(['row', 'column']))}")
     if name in DIVISOR_COMMANDS:
         length = n + draw(st.sampled_from([0] * 6 + [-1, 1]))
-        entries = draw(st.lists(st.sampled_from([*range(7), *range(-6, 0)]),
+        bound = 10**18 if name == "reduce" else 6
+        entries = draw(st.lists(st.integers(-bound, bound) | st.integers(-6, 6),
                                 min_size=length, max_size=length))
         literal = draw(st.sampled_from([",".join(map(str, entries))] * 6 + ["x", "1,,2", ""]))
         if draw(st.sampled_from([True] * 9 + [False])):
@@ -591,8 +616,8 @@ def test_fuzzed_requests_exit_0_to_3_without_raising(tmp_path, data):
     """Any argv and graph file: an exit code in {0, 1, 2, 3}, never an exception.
 
     Exit 1 means a requested property check failed, so only ``rr-check
-    --formula-box`` and ``arith check`` may return it.  Divisor entries stay
-    small because ``rank`` takes no budget.
+    --formula-box`` and ``arith check`` may return it.  Divisor entries of
+    ``rank`` stay within 6 because it takes no budget.
     """
     argv = data.draw(cli_requests(tmp_path))
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):

@@ -1,3 +1,6 @@
+import random
+from math import prod
+
 import pytest
 
 from chipfire import fixtures, oracle
@@ -35,6 +38,36 @@ def test_reduce_returns_equivalent_reduced_divisor(name, game):
         assert is_reduced(game, 0, red)
         assert game.apply(d, strategy) == red
         assert equivalent(game.lattice, d, red)
+
+
+LARGE_ENTRY_GAMES = [
+    ("k4u", lambda: row_game(fixtures.k4u()), 10**12),
+    ("ex_b", lambda: chip_game(fixtures.ex_b()), 10**12),
+    ("column(ex_b)", lambda: column_game(associated_digraph(fixtures.ex_b())), 10**12),
+    ("star(5,3)", lambda: chip_game(fixtures.star(5, 3)), 10**6),
+    ("ec(5)", lambda: chip_game(fixtures.ec(5)), 10**6),
+]
+
+
+@pytest.mark.parametrize("name,make,bound", LARGE_ENTRY_GAMES,
+                         ids=[name for name, _, _ in LARGE_ENTRY_GAMES])
+def test_reduce_large_entries_at_every_base(name, make, bound):
+    """Entries far beyond the stable box: the result is reduced, equivalent
+    through the returned strategy, and that strategy is 0 at the base."""
+    game = make()
+    rng = random.Random(name)
+    n = game.n_vertices
+    for base in range(n):
+        # the oracle walks prod(S[v] + 1) strategies; keep it to small games
+        exact = prod(s + 1 for v, s in enumerate(game.period) if v != base) <= 2000
+        for _ in range(3):
+            d = tuple(rng.randint(-bound, bound) for _ in range(n))
+            red, strategy = reduce(game, base, d)
+            assert strategy[base] == 0, (base, d)
+            assert game.apply(d, strategy) == red, (base, d)
+            assert is_reduced(game, base, red), (base, d)
+            if exact:
+                assert oracle.reduced_bruteforce(game, base, red), (base, d)
 
 
 def test_dhar_rejects_negative_off_base():
