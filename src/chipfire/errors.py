@@ -42,9 +42,14 @@ class NotPrimitive(ChipfireError):
 
 
 class BudgetExceeded(ChipfireError):
-    """Enumeration would exceed the configured candidate budget."""
+    """A search would pass, or has passed, its configured work budget.
 
-    def __init__(self, needed, budget):
-        super().__init__(f"enumeration needs {needed} candidates, budget is {budget}")
-        self.needed = needed
+    ``count`` is how far it got: the candidates a box scan needs, or the
+    residues a class table held when it passed the budget; ``reached`` says
+    which, in words.
+    """
+
+    def __init__(self, count, budget, reached):
+        super().__init__(f"{reached}, budget is {budget}")
+        self.count = count
         self.budget = budget

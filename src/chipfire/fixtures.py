@@ -74,6 +74,17 @@ def ec(n):
     return validate_arithmetical(adjacency, mults)
 
 
+def uniform_only():
+    """R = (1,1,2,3,1) with edges 0-2 x1, 0-3 x1, 1-2 x2, 2-3 x3, 2-4 x2,
+    3-4 x2: its chip game is uniform (g = 12) but not reflection invariant,
+    the abstract's "uniform only" case."""
+    edges = {(0, 2): 1, (0, 3): 1, (1, 2): 2, (2, 3): 3, (2, 4): 2, (3, 4): 2}
+    adjacency = [[0] * 5 for _ in range(5)]
+    for (i, j), m in edges.items():
+        adjacency[i][j] = adjacency[j][i] = m
+    return validate_arithmetical(adjacency, (1, 1, 2, 3, 1))
+
+
 def two_vertex(r0, r1):
     """Two vertices joined by r0 * r1 parallel edges, multiplicities (r0, r1)."""
     m = r0 * r1

@@ -135,6 +135,8 @@ class LatticeHandle:
         self._normalize(pivots)
         self.pivots = tuple((c, tuple(r)) for c, r in pivots)
         self.rank = len(pivots)
+        # Column v -> the pivots from column v on; a free column has none.
+        self._pivots_from = {c: self.pivots[i:] for i, (c, _) in enumerate(self.pivots)}
 
     @staticmethod
     def _insert(pivots, row):
@@ -192,6 +194,24 @@ class LatticeHandle:
         """
         rem = list(x)
         for col, row in self.pivots:
+            q = rem[col] // row[col]
+            if q:
+                rem = [a - q * b for a, b in zip(rem, row)]
+        return tuple(rem)
+
+    def bump(self, res, v, k):
+        """residue(res + k e_v) for a residue res and k = +1 or -1.
+
+        The pivots left of column v see entries already reduced, so the pass
+        starts at column v; it stops there unless that entry leaves its range
+        [0, pivot), and a free column needs no pass at all.
+        """
+        rem = list(res)
+        rem[v] += k
+        tail = self._pivots_from.get(v, ())
+        if tail and 0 <= rem[v] < tail[0][1][v]:
+            return tuple(rem)
+        for col, row in tail:
             q = rem[col] // row[col]
             if q:
                 rem = [a - q * b for a, b in zip(rem, row)]

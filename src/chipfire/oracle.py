@@ -4,6 +4,8 @@ from itertools import product
 
 from .divisor_algebra import degree, valid_strategies
 from .errors import NotSandpileForm
+from .rank_extremes import ExtremeClass, ExtremeClassSet, in_sigma, is_extreme
+from .reduction import DEFAULT_BUDGET, all_reduced_representatives, is_reduced, stable_box
 
 
 def effective_bruteforce(game, divisor, box):
@@ -91,3 +93,35 @@ def gparking_subset_bruteforce(digraph, base, divisor):
         if not ok:
             return False
     return True
+
+
+def extremes_bruteforce(game, base, budget=DEFAULT_BUDGET):
+    """All extreme classes, by exhaustive scan over reduced normal forms.
+
+    Scans the stable box (the reduced-divisor coordinate bound) with value -1
+    at the base, keeping the divisors that are reduced, in Sigma, and
+    extreme; classes are deduplicated by their full representative sets.
+    """
+    classes = {}
+    for stable in stable_box(game, base, budget):
+        divisor = stable[:base] + (-1,) + stable[base + 1:]
+        if not is_reduced(game, base, divisor):
+            continue
+        if not in_sigma(game, base, divisor):
+            continue
+        if not is_extreme(game, base, divisor):
+            continue
+        reps = tuple(all_reduced_representatives(game, base, divisor))
+        if reps not in classes:
+            classes[reps] = ExtremeClass(
+                rep=divisor,
+                degree=degree(game.weight, divisor),
+                all_reps=reps,
+            )
+    ordered = tuple(sorted(classes.values(), key=lambda c: c.rep))
+    if not ordered:
+        raise AssertionError("no extreme classes found; scan bounds violated")
+    degrees = [c.degree for c in ordered]
+    return ExtremeClassSet(
+        classes=ordered, g_min=min(degrees) + 1, g_max=max(degrees) + 1
+    )

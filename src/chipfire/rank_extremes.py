@@ -2,20 +2,17 @@
 
 from dataclasses import dataclass
 from itertools import product
+from math import gcd, prod
 
 from .divisor_algebra import degree, degree_plus
-from .reduction import (
-    DEFAULT_BUDGET,
-    all_reduced_representatives,
-    is_effective_class,
-    is_reduced,
-    stable_box,
-)
+from .errors import BudgetExceeded
+from .reduction import DEFAULT_BUDGET, all_reduced_representatives, is_effective_class
 
 
 @dataclass(frozen=True)
 class ExtremeClass:
-    """One extreme class: scan representative, weighted degree, all reduced reps."""
+    """One extreme class: the least reduced representative with -1 at the
+    base, the weighted degree, and all reduced representatives."""
 
     rep: tuple
     degree: int
@@ -65,9 +62,7 @@ def _effective_classes_by_degree(game, target):
             prev = d - game.weight[v]
             if prev >= 0:
                 for res in cache[prev]:
-                    bumped = list(res)
-                    bumped[v] += 1
-                    found.add(lat.residue(bumped))
+                    found.add(lat.bump(res, v, 1))
         cache.append(found)
     return cache[target]
 
@@ -122,31 +117,63 @@ def is_extreme(game, base, divisor):
 
 
 def enumerate_extremes(game, base, budget=DEFAULT_BUDGET):
-    """All extreme classes, by exhaustive scan over reduced normal forms.
+    """All extreme classes, the local maxima of Sigma, from the class table.
 
-    Scans the stable box (the reduced-divisor coordinate bound) with value -1
-    at the base, keeping the divisors that are reduced, in Sigma, and
-    extreme; classes are deduplicated by their full representative sets.
+    A class c is extreme iff c is not effective and c + e_u is for every u.
+    The table Eff_d of effective classes grows from degree 0 until a run of
+    full degrees (each holding every class of its degree) spans the largest
+    weight: every class of a higher degree is then some full class plus one
+    chip, so every degree above the run's start is full.  An extreme c has
+    c + e_v0 effective, so the candidates are c' - e_v0 over the table, with
+    v0 of least weight.  No Dhar burn runs until each extreme class's reduced
+    representatives are collected.
+
+    The base is checked, then the budget (ValueError if negative); the budget
+    bounds the residues the table holds, checked after each degree it adds.
+    ``rep`` is the least reduced representative with -1 at the base.  One
+    exists: reducedness ignores the base entry, so an effective reduced
+    representative E of c + e_base gives the reduced E - e_base of c, and
+    its base entry E(base) - 1 < 0 as c is not effective.
     """
-    classes = {}
-    for stable in stable_box(game, base, budget):
-        divisor = stable[:base] + (-1,) + stable[base + 1:]
-        if not is_reduced(game, base, divisor):
-            continue
-        if not in_sigma(game, base, divisor):
-            continue
-        if not is_extreme(game, base, divisor):
-            continue
-        reps = tuple(all_reduced_representatives(game, base, divisor))
-        if reps not in classes:
-            classes[reps] = ExtremeClass(
-                rep=divisor,
-                degree=degree(game.weight, divisor),
-                all_reps=reps,
-            )
-    ordered = tuple(sorted(classes.values(), key=lambda c: c.rep))
+    game.check_base(base)
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
+    lat = game.lattice
+    weight = game.weight
+    step = gcd(*weight)
+    pivot_cols = {col for col, _ in lat.pivots}
+    free = next(v for v in range(game.n_vertices) if v not in pivot_cols)
+    full = prod(row[col] for col, row in lat.pivots) * step // weight[free]
+    held = run = d = 0
+    while run * step < max(weight):
+        size = len(_effective_classes_by_degree(game, d))
+        held += size
+        if held > budget:
+            raise BudgetExceeded(held, budget, f"class table size {held} after degree {d}")
+        run = run + 1 if size == full else 0
+        d += step
+    top = d - (run + 1) * step  # the highest degree that is not full
+    table = game.eff_class_cache
+    v0 = min(range(game.n_vertices), key=weight.__getitem__)
+    classes = []
+    for j in range(0, top + weight[v0] + 1, step):
+        k = j - weight[v0]
+        for above in table[j]:
+            c = lat.bump(above, v0, -1)
+            if k >= 0 and c in table[k]:
+                continue
+            if all(
+                u == v0
+                or len(table[k + weight[u]]) == full
+                or lat.bump(c, u, 1) in table[k + weight[u]]
+                for u in range(game.n_vertices)
+            ):
+                reps = all_reduced_representatives(game, base, c)
+                rep = min(r for r in reps if r[base] == -1)
+                classes.append(ExtremeClass(rep=rep, degree=k, all_reps=reps))
+    ordered = tuple(sorted(classes, key=lambda c: c.rep))
     if not ordered:
-        raise AssertionError("no extreme classes found; scan bounds violated")
+        raise AssertionError("no extreme classes found; class table bounds violated")
     degrees = [c.degree for c in ordered]
     return ExtremeClassSet(
         classes=ordered, g_min=min(degrees) + 1, g_max=max(degrees) + 1

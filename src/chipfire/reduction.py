@@ -95,7 +95,9 @@ def is_reduced(game, base, divisor):
     return not any(_burn(game, base, divisor))
 
 
-DEFAULT_BUDGET = 10_000_000  # candidates a scan may visit unless told otherwise
+# Work a search may do unless told otherwise: the candidates of a box scan,
+# or the residues of a class table.
+DEFAULT_BUDGET = 10_000_000
 
 
 def stable_box(game, base, budget):
@@ -110,7 +112,7 @@ def stable_box(game, base, budget):
     others = [v for v in range(game.n_vertices) if v != base]
     total = prod(game.threshold(v) for v in others)
     if total > budget:
-        raise BudgetExceeded(total, budget)
+        raise BudgetExceeded(total, budget, f"enumeration needs {total} candidates")
     for combo in product(*[range(game.threshold(v)) for v in others]):
         yield combo[:base] + (0,) + combo[base:]
 

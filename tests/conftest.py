@@ -7,6 +7,7 @@ import pytest
 
 from chipfire import fixtures, graph_core
 from chipfire.arithmetical import chip_game
+from chipfire.fixtures import uniform_only  # noqa: F401  (re-exported for the tests)
 from chipfire.games import row_game
 
 
@@ -78,19 +79,6 @@ def random_arithmetical(rng):
         for i in range(n)
     ]
     return validate_arithmetical(adjacency, tuple(r))
-
-
-def uniform_only():
-    """The arithmetical graph R = (1,1,2,3,1) with edges 0-2 x1, 0-3 x1,
-    1-2 x2, 2-3 x3, 2-4 x2, 3-4 x2: its chip game is uniform (g = 12) but not
-    reflection invariant, the one row-game verdict no library fixture shows."""
-    from chipfire.arithmetical import validate_arithmetical
-
-    edges = {(0, 2): 1, (0, 3): 1, (1, 2): 2, (2, 3): 3, (2, 4): 2, (3, 4): 2}
-    adjacency = [[0] * 5 for _ in range(5)]
-    for (i, j), m in edges.items():
-        adjacency[i][j] = adjacency[j][i] = m
-    return validate_arithmetical(adjacency, (1, 1, 2, 3, 1))
 
 
 @pytest.fixture

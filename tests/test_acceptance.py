@@ -1,6 +1,7 @@
 """Acceptance gate: one test per criterion, exact arithmetic throughout.
 
-Each test prints a single PASS/FAIL line, and all ten criteria pass.
+Each test prints a single PASS/FAIL line; all ten criteria and the
+abstract's four verdict cases pass.
 Criteria 2 and 6 once asserted reference values that are wrong for the
 graphs they build; their comments give the derivation of the corrected
 values, with integer certificates that the tests check.
@@ -347,3 +348,24 @@ def test_criterion_10_property_suites():
                fixtures.two_vertex(2, 3), fixtures.cycle_mult(3),
                fixtures.star(3, 2)):
         assert column_rr_always(ag, 0)
+
+
+@reported("abstract (either, both, or neither)")
+def test_abstract_four_verdicts():
+    """The abstract's four cases, each named by a library fixture."""
+    cases = {
+        "neither": fixtures.ex_a(),
+        "reflection only": fixtures.ex_c(),
+        "uniform only": fixtures.uniform_only(),
+        "both": fixtures.ex_b(),
+    }
+    verdicts = {}
+    for name, ag in cases.items():
+        report = rr_verdict(chip_game(ag), 0)
+        verdicts[name] = (report.uniform, report.reflection_invariant)
+    assert verdicts == {
+        "neither": (False, False),
+        "reflection only": (False, True),
+        "uniform only": (True, False),
+        "both": (True, True),
+    }

@@ -171,6 +171,21 @@ def test_staircases_are_the_extreme_classes(r0, r1):
     assert ex.g_min == ex.g_max == g0(ag)
 
 
+def test_star_6_5_extremes_are_the_staircase_classes():
+    """Past the box scan (2^30 candidates): under the default budget the
+    class table finds the 120 staircase classes of degree 9, g = 10."""
+    r0, r1 = 6, 5
+    ag = fixtures.star(r0, r1)
+    game = chip_game(ag)
+    ex = enumerate_extremes(game, 0)
+    assert len(ex.classes) == 120
+    assert ex.g_min == ex.g_max == r0 * (r0 - 3) // 2 + 1 == 10
+    residue = game.lattice.residue
+    assert {residue(c.rep) for c in ex.classes} == {
+        residue(d) for d in staircase_divisors(ag, r0, r1)
+    }
+
+
 @pytest.mark.parametrize("r0,r1", [(3, 2), (4, 3), (5, 2), (5, 3)])
 def test_staircase_degree(r0, r1):
     ag = fixtures.star(r0, r1)

@@ -158,3 +158,25 @@ def test_lattice_membership_fractional_rejection():
     assert not lat.contains((Fraction(3, 2), Fraction(-1)))
     assert not lat.contains((Fraction(1), Fraction(0)))
 
+
+BUMP_LATTICES = [
+    LatticeHandle(laplacian(fixtures.k4u())),
+    LatticeHandle(fixtures.star(4, 3).laplacian()),
+    LatticeHandle(list(zip(*laplacian(fixtures.b2())))),
+    LatticeHandle([[2, -1, 0, -1], [0, 3, -3, 0], [-4, 0, 5, -1]]),
+    LatticeHandle([[2, 1, 0], [0, 0, 3]]),  # column 1 is free
+]
+
+
+@given(
+    st.sampled_from(BUMP_LATTICES),
+    st.lists(st.integers(-50, 50), min_size=16, max_size=16),
+    st.sampled_from((1, -1)),
+)
+@settings(max_examples=200, deadline=None)
+def test_bump_is_the_residue_of_one_chip_more_or_less(lattice, entries, k):
+    res = lattice.residue(entries[: lattice.dim])
+    for v in range(lattice.dim):
+        moved = list(res)
+        moved[v] += k
+        assert lattice.bump(res, v, k) == lattice.residue(moved), v

@@ -1,11 +1,14 @@
+import random
+from math import prod
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chipfire import fixtures, oracle
-from chipfire.arithmetical import chip_game
+from chipfire.arithmetical import associated_digraph, chip_game
 from chipfire.divisor_algebra import degree
-from chipfire.games import row_game
+from chipfire.games import column_game, row_game
 from chipfire.rank_extremes import (
     enumerate_extremes,
     in_sigma,
@@ -15,7 +18,7 @@ from chipfire.rank_extremes import (
 )
 from chipfire.reduction import is_effective_class
 
-from conftest import divisor_box, small_games
+from conftest import divisor_box, random_arithmetical, small_games, uniform_only
 
 
 def oracle_rank(game, base, d, fast_value):
@@ -105,3 +108,57 @@ def test_extreme_set_degrees_and_uniformity_flag():
     ex_a = enumerate_extremes(game_a, 0)
     assert not ex_a.uniform
     assert (ex_a.g_min, ex_a.g_max) == (3, 4)
+
+
+SCAN_ORACLE_MAX_BOX = 50_000
+
+
+def _small_cases():
+    """The small games, at every base."""
+    for name, game in small_games():
+        yield name, game, range(game.n_vertices)
+
+
+def _ladder_cases():
+    """The benchmark's rr-ladder games (stable boxes up to 46,656) and
+    uniform_only, at base 0."""
+    assoc = associated_digraph(fixtures.ex_b())
+    yield "k4u", row_game(fixtures.k4u()), (0,)
+    for name in ("ex_a", "ex_b", "ex_c"):
+        yield name, chip_game(getattr(fixtures, name)()), (0,)
+    for n in (4, 5):
+        yield f"ec({n})", chip_game(fixtures.ec(n)), (0,)
+    for r0, r1 in ((4, 3), (5, 1), (5, 2), (5, 3)):
+        yield f"star({r0},{r1})", chip_game(fixtures.star(r0, r1)), (0,)
+    yield "col(ex_b)", column_game(assoc), (0,)
+    yield "row(ex_b)", row_game(assoc), (0,)
+    yield "star(6,1)", chip_game(fixtures.star(6, 1)), (0,)
+    yield "uniform_only", chip_game(uniform_only()), (0,)
+
+
+def _random_cases():
+    """The chip, row and column games of random_arithmetical for seeds 0-29,
+    at base 0.  A game whose stable box passes SCAN_ORACLE_MAX_BOX is left
+    out, because the scan there takes minutes."""
+    for seed in range(30):
+        ag = random_arithmetical(random.Random(seed))
+        digraph = associated_digraph(ag)
+        for kind, make, graph in (
+            ("chip", chip_game, ag),
+            ("row", row_game, digraph),
+            ("column", column_game, digraph),
+        ):
+            game = make(graph)
+            if prod(game.threshold(v) for v in range(1, game.n_vertices)) <= SCAN_ORACLE_MAX_BOX:
+                yield f"seed {seed} {kind}", game, (0,)
+
+
+@pytest.mark.parametrize("cases", [_small_cases, _ladder_cases, _random_cases])
+def test_extremes_match_the_box_scan_oracle(cases):
+    """The class-table search returns the box scan's ExtremeClassSet: the
+    same classes, reps, degrees, representative sets, g_min and g_max.
+    Games are built one at a time, so each class table is freed in turn."""
+    for name, game, bases in cases():
+        for base in bases:
+            got = enumerate_extremes(game, base)
+            assert got == oracle.extremes_bruteforce(game, base), (name, base)

@@ -190,3 +190,17 @@ def test_scans_reject_a_negative_budget(scan, budget):
 def test_scans_accept_a_zero_budget(scan):
     with pytest.raises(BudgetExceeded, match="budget is 0"):
         scan(chip_game(fixtures.ex_a()), 0, budget=0)
+
+
+def test_extremes_budget_bounds_the_class_table():
+    """On ex_b the class table holds 23 residues and the stable box has 72
+    divisors: a budget between them is enough for the table search, not for
+    the scan, and one below the table reports how far the table got."""
+    game = chip_game(fixtures.ex_b())
+    assert len(enumerate_extremes(game, 0, budget=23).classes) == 3
+    assert sum(len(s) for s in game.eff_class_cache) == 23
+    with pytest.raises(BudgetExceeded, match="budget is 23"):
+        oracle.extremes_bruteforce(game, 0, budget=23)
+    with pytest.raises(BudgetExceeded, match="budget is 22") as info:
+        enumerate_extremes(chip_game(fixtures.ex_b()), 0, budget=22)
+    assert (info.value.count, info.value.budget) == (23, 22)
