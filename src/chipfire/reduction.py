@@ -49,8 +49,9 @@ def _burn(game, base, divisor, steps=None, witnesses=None, start=None):
     recording D - f F before each base decrement as a reduced witness.
 
     Without ``start`` the divisor must be in sandpile form, and the terminal
-    is nonnegative.  ``reduce`` passes a multiple ``start`` and any divisor;
-    that terminal may be negative.
+    is nonnegative.  With ``start`` (a multiple, which may be 0) the divisor
+    may be any, and the terminal may be negative: ``reduce`` passes a
+    positive multiple, and ``stabilize`` passes 0 on the recurrence dual.
     """
     if start is None:
         check_sandpile_form(game, base, divisor)

@@ -7,6 +7,7 @@ from .divisor_algebra import degree
 from .rank_extremes import in_sigma
 from .reduction import (
     DEFAULT_BUDGET,
+    _burn,
     all_reduced_representatives,
     check_sandpile_form,
     is_reduced,
@@ -24,40 +25,19 @@ def is_stable(game, base, divisor):
     )
 
 
-def stabilize(game, base, divisor, step_cap=None):
-    """Fire the lowest-index overfull non-base vertex until none remains.
+def stabilize(game, base, divisor):
+    """Fire overfull non-base vertices until none remains.
 
-    An overfull vertex v fires floor(D(v) / F[v][v]) times at once: firing
-    other vertices only adds chips to v, so each of those firings stays
-    legal.  ``step_cap`` bounds the number of unit firings.  Returns the
-    stable configuration and the total firing vector.  The result is
-    independent of the firing order (asserted by tests, not assumed here).
+    Stabilization is the Dhar loop on the recurrence dual, started from the
+    zero strategy: v is overfull in D - fired F exactly when it is in debt
+    in dual_divisor(D) + fired F, and floor(D(v) / F[v][v]) is the ceiling
+    of that debt over F[v][v].  Returns the stable configuration and the
+    total firing vector.  The result is independent of the firing order
+    (asserted by tests, not assumed here).
     """
     check_sandpile_form(game, base, divisor)
-    n = game.n_vertices
-    rows = game.firing_rows
-    current = list(divisor)
-    fired = [0] * n
-    steps = 0
-    while True:
-        v = next(
-            (
-                u
-                for u in range(n)
-                if u != base and current[u] >= rows[u][u]
-            ),
-            None,
-        )
-        if v is None:
-            return tuple(current), tuple(fired)
-        k = current[v] // rows[v][v]
-        row = rows[v]
-        for i in range(n):
-            current[i] -= k * row[i]
-        fired[v] += k
-        steps += k
-        if step_cap is not None and steps > step_cap:
-            raise RuntimeError("stabilization exceeded the step cap")
+    fired = tuple(-x for x in _burn(game, base, dual_divisor(game, divisor), start=0))
+    return game.apply(divisor, fired), fired
 
 
 def dual_divisor(game, divisor):
@@ -102,18 +82,20 @@ def is_recurrent_oracle(game, base, divisor, headroom):
 def minimal_recurrents(game, base, budget=DEFAULT_BUDGET):
     """All recurrent stable configurations minimal under dominance off the base.
 
-    The base entry is stored as 0, so comparing it never decides dominance.
+    Recurrence is upward closed among stable configurations (its dual,
+    reducedness, is downward closed off the base: a strategy that lifts
+    D' <= D out of debt also lifts D), so a recurrent c is minimal iff no
+    c - e_v with c[v] > 0, v != base, is recurrent.
     """
-    recurrents = [d for d in stable_box(game, base, budget) if is_recurrent(game, base, d)]
-    minimal = [
+    recurrents = {d for d in stable_box(game, base, budget) if is_recurrent(game, base, d)}
+    others = [v for v in range(game.n_vertices) if v != base]
+    return sorted(
         d
         for d in recurrents
         if not any(
-            other != d and all(a <= b for a, b in zip(other, d))
-            for other in recurrents
+            d[v] and d[:v] + (d[v] - 1,) + d[v + 1:] in recurrents for v in others
         )
-    ]
-    return sorted(minimal)
+    )
 
 
 def natural_rr_via_sandpile(game, base, budget=DEFAULT_BUDGET):

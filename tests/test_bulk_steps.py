@@ -85,11 +85,6 @@ def test_bulk_loops_match_unit_step_references(name, game):
 
             expect = unit_stabilize(game, base, d)
             assert stabilize(game, base, d) == expect, (base, d)
-            firings = sum(expect[1])
-            assert stabilize(game, base, d, step_cap=firings) == expect
-            if firings:
-                with pytest.raises(RuntimeError):
-                    stabilize(game, base, d, step_cap=firings - 1)
 
 
 @pytest.mark.parametrize("name,game", games_under_test())

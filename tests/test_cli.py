@@ -115,6 +115,34 @@ def test_reduce_of_a_huge_divisor_returns(tmp_path):
     assert doc == {"reduced": [0, 0, 0, 0], "strategy": [0, -m // 4, -m // 4, -m // 2]}
 
 
+def test_stabilize_of_a_huge_divisor_returns(tmp_path):
+    """Run in a subprocess with a timeout: stabilize once fired the
+    lowest-index overfull vertex and scanned again, passing the chips round
+    the cycle a few at a time, so this request never returned."""
+    from chipfire import fixtures
+    from chipfire.arithmetical import chip_game
+
+    path = tmp_path / "ec5.json"
+    edges = [[i, (i + 1) % 10, 1] for i in range(10)]
+    mults = [1, 2] * 5
+    path.write_text(json.dumps({"type": "arithmetical", "vertices": 10, "edges": edges,
+                                "multiplicities": mults}))
+    d = (0,) + (10**20,) * 9
+    package_root = Path(importlib.import_module("chipfire").__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "chipfire.cli", "sandpile", "stabilize", str(path),
+         "--divisor=" + ",".join(map(str, d))],
+        capture_output=True, text=True, timeout=20,
+        env=dict(os.environ, PYTHONPATH=str(package_root)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    game = chip_game(fixtures.ec(5))
+    assert all(doc["stable"][v] < game.threshold(v) for v in range(1, 10))
+    assert min(doc["fired"]) >= 0 and doc["fired"][0] == 0
+    assert game.apply(d, doc["fired"]) == tuple(doc["stable"])
+
+
 def test_dhar_reports_reducedness(capsys, t3_file):
     code, doc = run(capsys, ["dhar", t3_file, "--divisor", "0,0,0"])
     assert code == 0
@@ -592,7 +620,7 @@ def cli_requests(draw, workdir):
         argv.append(f"--game={draw(st.sampled_from(['row', 'column']))}")
     if name in DIVISOR_COMMANDS:
         length = n + draw(st.sampled_from([0] * 6 + [-1, 1]))
-        bound = 10**18 if name == "reduce" else 6
+        bound = 10**18 if name in ("reduce", "sandpile") else 6
         entries = draw(st.lists(st.integers(-bound, bound) | st.integers(-6, 6),
                                 min_size=length, max_size=length))
         literal = draw(st.sampled_from([",".join(map(str, entries))] * 6 + ["x", "1,,2", ""]))

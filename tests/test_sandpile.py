@@ -1,11 +1,13 @@
 import random
+from math import prod
 
 import pytest
 
 from chipfire import fixtures
-from chipfire.arithmetical import chip_game, digraph_natural_rr
+from chipfire.arithmetical import associated_digraph, chip_game, digraph_natural_rr
 from chipfire.errors import NotSandpileForm, NotStable
-from chipfire.games import row_game
+from chipfire.games import column_game, row_game
+from chipfire.reduction import stable_box
 from chipfire.riemann_roch import rr_verdict
 from chipfire.sandpile import (
     dual_divisor,
@@ -17,7 +19,7 @@ from chipfire.sandpile import (
     stabilize,
 )
 
-from conftest import sandpile_box, small_games
+from conftest import random_arithmetical, sandpile_box, small_games
 
 
 def random_schedule_stabilize(game, base, divisor, rng):
@@ -40,7 +42,7 @@ def random_schedule_stabilize(game, base, divisor, rng):
 
 @pytest.mark.parametrize("name,game", small_games())
 def test_stabilization_is_schedule_independent(name, game):
-    rng = random.Random(hash(name) & 0xFFFF)
+    rng = random.Random(name)
     n = game.n_vertices
     for _ in range(200):
         d = tuple(
@@ -50,6 +52,31 @@ def test_stabilization_is_schedule_independent(name, game):
         expect = stabilize(game, 0, d)
         for _ in range(3):
             assert random_schedule_stabilize(game, 0, d, rng) == expect
+
+
+@pytest.mark.parametrize("name,game", [
+    ("ec(5)", chip_game(fixtures.ec(5))),
+    ("star(5,3)", chip_game(fixtures.star(5, 3))),
+    ("k4u", row_game(fixtures.k4u())),
+])
+def test_stabilize_of_huge_configurations(name, game):
+    """Entries up to 10**18 at every base: the result is stable, reached by a
+    nonnegative firing vector that leaves the base alone, and firing one
+    overfull vertex first only takes that firing off the vector."""
+    rng = random.Random(name)
+    n = game.n_vertices
+    for base in range(n):
+        for high in (10**6, 10**12, 10**18):
+            d = tuple(rng.randint(-5, 5) if v == base else rng.randint(0, high)
+                      for v in range(n))
+            stable, fired = stabilize(game, base, d)
+            assert is_stable(game, base, stable), (base, d)
+            assert min(fired) >= 0 and fired[base] == 0, (base, d)
+            assert game.apply(d, fired) == stable, (base, d)
+            v = rng.choice([u for u in range(n) if u != base and d[u] >= game.threshold(u)])
+            unit = tuple(int(u == v) for u in range(n))
+            rest = tuple(f - e for f, e in zip(fired, unit))
+            assert stabilize(game, base, game.apply(d, unit)) == (stable, rest), (base, d)
 
 
 def test_stabilize_rejects_negative_configurations():
@@ -126,6 +153,46 @@ def test_minimal_recurrents_are_minimal(name, game):
     for d in sandpile_box(game, 0, slack=0, base_values=(0,)):
         if is_recurrent(game, 0, d):
             assert any(all(m[v] <= d[v] for v in others) for m in mins), d
+
+
+def pairwise_minimal_recurrents(game, base):
+    """Reference: the recurrent configurations of the stable box that
+    dominate no other recurrent one, found by comparing every pair."""
+    recurrents = [d for d in stable_box(game, base, 10**7) if is_recurrent(game, base, d)]
+    return sorted(
+        d
+        for d in recurrents
+        if not any(
+            other != d and all(a <= b for a, b in zip(other, d))
+            for other in recurrents
+        )
+    )
+
+
+def minimal_recurrent_games():
+    """small_games plus the first four seeded random chip games whose stable
+    boxes hold at most 6,000 configurations at every base, since the
+    reference is quadratic in the number of recurrents."""
+    rng = random.Random(20261019)
+    extra = []
+    while len(extra) < 4:
+        game = chip_game(random_arithmetical(rng))
+        n = game.n_vertices
+        if all(prod(game.threshold(v) for v in range(n) if v != b) <= 6000 for b in range(n)):
+            extra.append((f"random_arithmetical[{len(extra)}]", game))
+    return small_games() + extra
+
+
+@pytest.mark.parametrize("name,game", minimal_recurrent_games())
+def test_minimal_recurrents_match_pairwise_reference(name, game):
+    for base in range(game.n_vertices):
+        assert minimal_recurrents(game, base) == pairwise_minimal_recurrents(game, base), base
+
+
+def test_minimal_recurrents_of_col_exb_match_pairwise_reference():
+    """At base 0 only: 5,184 recurrents, and each other base has more."""
+    game = column_game(associated_digraph(fixtures.ex_b()))
+    assert minimal_recurrents(game, 0) == pairwise_minimal_recurrents(game, 0)
 
 
 def test_natural_rr_via_sandpile_agrees_on_unit_weight_games():
