@@ -154,39 +154,24 @@ def good_representation(r0, r1, x):
 
     x = sum t_i r_i with 0 <= t_i <= delta_i - 1 and no run
     (delta-1, delta-2, ..., delta-2, delta-1).  Exists iff 0 <= x <= r0 - 1.
+
+    It is the greedy digits t_i = rem // r_i, rem being what is left of x.
+    rem < r_{i-1} = delta_i r_i - r_{i+1} holds before each digit, so
+    t_i <= delta_i - 1, and r_m = 1 leaves rem = 0 after the last digit.
+    After a digit delta - 1, and after each delta - 2 that follows one,
+    rem < r_i - r_{i+1} holds instead; that keeps the next digit below
+    delta - 1, so the forbidden run never appears, and uniqueness makes the
+    digits the good representation.
     """
     if gcd(r0, r1) != 1:
         raise ValueError("good representations require gcd(r0, r1) = 1")
-    if x < 0:
+    if not 0 <= x < r0:
         return None
-    seq = euclidean_sequence(r0, r1)
-    values = seq.values[1:]  # r_1 ... r_m
-    deltas = seq.chain_deltas
-    m = len(values)
-    suffix_max = [0] * (m + 1)
-    for i in range(m - 1, -1, -1):
-        suffix_max[i] = suffix_max[i + 1] + (deltas[i] - 1) * values[i]
-    dead = set()
-
-    def search(i, rem, armed):
-        if i == m:
-            return () if rem == 0 else None
-        if rem > suffix_max[i] or (i, rem, armed) in dead:
-            return None
-        for t in range(min(deltas[i] - 1, rem // values[i]), -1, -1):
-            if armed and t == deltas[i] - 1:
-                continue
-            next_armed = t == deltas[i] - 1 or (armed and t == deltas[i] - 2)
-            tail = search(i + 1, rem - t * values[i], next_armed)
-            if tail is not None:
-                return (t,) + tail
-        dead.add((i, rem, armed))
-        return None
-
-    found = search(0, x, False)
-    if found is None:
-        return None
-    return GoodRepresentation(coefficients=found)
+    rem, digits = x, []
+    for r in euclidean_sequence(r0, r1).values[1:]:
+        t, rem = divmod(rem, r)
+        digits.append(t)
+    return GoodRepresentation(coefficients=tuple(digits))
 
 
 def euclidean_star(r0, r1):

@@ -146,9 +146,13 @@ def cmd_extremes(args, game):
 def cmd_rr_check(args, game):
     if args.formula_box < 0:
         raise ChipfireError(f"--formula-box must be nonnegative, got {args.formula_box}")
-    report = riemann_roch.rr_verdict(game, args.base, budget=_budget(args))
+    budget = _budget(args)
+    report = riemann_roch.rr_verdict(game, args.base, budget=budget)
     out = _report_json(report)
     if args.formula_box and report.rr_property:
+        box = (2 * args.formula_box + 1) ** game.n_vertices
+        if box > budget:
+            raise BudgetExceeded(box, budget, f"formula box needs {box} divisors")
         out["formula_ok"] = riemann_roch.rr_formula_check(
             game, args.base, report, args.formula_box
         )

@@ -72,7 +72,14 @@ def rank(game, base, divisor):
 
     Works on lattice residues, memoized per class: the Sigma test and the
     degree are both class invariants, and the effective classes of each
-    degree come from the one-chip recursion.
+    degree come from the one-chip recursion, from Eff_0 = {0} up.
+
+    Past twice cut = sum_{v != base} (F[v][v] - 1) w_v - w_base the rank is
+    deg D - g_max.  A reduced representative lies in the stable box, so every
+    class of degree above cut is effective and Sigma's top degree T = g_max - 1
+    (a top Sigma class is extreme) is at most cut.  If D - E is in Sigma then
+    deg E >= deg D - T; and for a top extreme class c, [D] - c has degree
+    deg D - T > T, so it holds an effective E with D - E in c.
     """
     game.check_base(base)
     game.check_divisor(divisor)
@@ -80,25 +87,24 @@ def rank(game, base, divisor):
     memo = game.rank_cache
     if res in memo:
         return memo[res]
-    value = None
-    if in_sigma(game, base, res):
-        value = -1
+    weight = game.weight
+    deg = degree(weight, res)
+    cut = sum(
+        (game.threshold(v) - 1) * w for v, w in enumerate(weight) if v != base
+    ) - weight[base]
+    if deg > 2 * cut:
+        value = deg - enumerate_extremes(game, base).g_max
     else:
-        deg = degree(game.weight, res)
+        value = None
         d = 0
         while value is None:
-            d += 1
             eff_classes = _effective_classes_by_degree(game, d)
-            if not eff_classes:
-                continue
-            if deg - d < 0:
+            if eff_classes and (deg < d or any(
+                in_sigma(game, base, tuple(a - b for a, b in zip(res, res_e)))
+                for res_e in eff_classes
+            )):
                 value = d - 1
-                break
-            for res_e in eff_classes:
-                cand = tuple(a - b for a, b in zip(res, res_e))
-                if in_sigma(game, base, cand):
-                    value = d - 1
-                    break
+            d += 1
     memo[res] = value
     return value
 

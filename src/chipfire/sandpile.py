@@ -4,15 +4,8 @@ from itertools import product
 
 from .errors import NotStable
 from .divisor_algebra import degree
-from .rank_extremes import in_sigma
-from .reduction import (
-    DEFAULT_BUDGET,
-    _burn,
-    all_reduced_representatives,
-    check_sandpile_form,
-    is_reduced,
-    stable_box,
-)
+from .rank_extremes import is_extreme
+from .reduction import DEFAULT_BUDGET, _burn, check_sandpile_form, is_reduced, stable_box
 from .riemann_roch import natural_divisor
 
 
@@ -102,28 +95,26 @@ def natural_rr_via_sandpile(game, base, budget=DEFAULT_BUDGET):
     """Natural Riemann-Roch via the sandpile model.
 
     True iff every minimal recurrent configuration D, shifted at the base so
-    that D - 1 has the natural degree g - 1, becomes an extreme divisor:
-    it lies in Sigma and for every vertex v some v-reduced representative has
-    value exactly -1 at v.  The genus comes from the natural canonical divisor
-    (entrywise threshold - 2) via deg K = 2g - 2.
+    that D - 1 has the natural degree g - 1, becomes an extreme divisor.
+    The paper's form of the test, that D lies in Sigma and for every vertex v
+    some v-reduced representative has value exactly -1 at v, is
+    ``is_extreme``: R + e_v of such an R is v-reduced and effective, and an
+    effective v-reduced E of D + e_v gives the v-reduced E - e_v of D, whose
+    value at v is at least -1 and, as D is in Sigma, negative.  The genus
+    comes from the natural canonical divisor (entrywise threshold - 2) via
+    deg K = 2g - 2.
     """
     naturals = natural_divisor(game)
     deg_k = degree(game.weight, naturals)
     if deg_k % 2 != 0:
         return False
     g = deg_k // 2 + 1
-    n = game.n_vertices
     for config in minimal_recurrents(game, base, budget=budget):
         shifted = [d - 1 for d in config]
         gap = (g - 1) - degree(game.weight, shifted)
         if gap % game.weight[base] != 0:
             return False
         shifted[base] += gap // game.weight[base]
-        shifted = tuple(shifted)
-        if not in_sigma(game, base, shifted):
+        if not is_extreme(game, base, shifted):
             return False
-        for v in range(n):
-            reps = all_reduced_representatives(game, v, shifted)
-            if not any(rep[v] == -1 for rep in reps):
-                return False
     return True

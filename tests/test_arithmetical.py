@@ -126,15 +126,15 @@ def bruteforce_good_representation(r0, r1, x):
     return None
 
 
-@pytest.mark.parametrize("r0,r1", [(5, 3), (7, 5), (8, 3), (9, 7), (11, 4)])
+@pytest.mark.parametrize("r0,r1", [
+    (r0, r1) for r0 in range(2, 14) for r1 in range(1, r0) if gcd(r0, r1) == 1
+])
 def test_good_representation_matches_bruteforce(r0, r1):
+    """The same digits as the search, so the forbidden run is checked too."""
     for x in range(-2, r0 + 2):
         got = good_representation(r0, r1, x)
         want = bruteforce_good_representation(r0, r1, x)
-        assert (got is None) == (want is None), (r0, r1, x)
-        if got is not None:
-            seq = euclidean_sequence(r0, r1)
-            assert sum(a * b for a, b in zip(got.coefficients, seq.values[1:])) == x
+        assert (None if got is None else got.coefficients) == want, (r0, r1, x)
 
 
 def test_good_representation_exists_iff_in_window():

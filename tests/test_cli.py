@@ -115,6 +115,23 @@ def test_reduce_of_a_huge_divisor_returns(tmp_path):
     assert doc == {"reduced": [0, 0, 0, 0], "strategy": [0, -m // 4, -m // 4, -m // 2]}
 
 
+def test_rank_of_a_huge_divisor_returns(tmp_path):
+    """Run in a subprocess with a timeout: rank once searched one degree at
+    a time up to deg D, so this request never returned."""
+    path = tmp_path / "k4u.json"
+    arcs = [[i, j, 1] for i in range(4) for j in range(4) if i != j]
+    path.write_text(json.dumps({"type": "digraph", "vertices": 4, "arcs": arcs}))
+    m = 10**20
+    package_root = Path(importlib.import_module("chipfire").__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "chipfire.cli", "rank", str(path), f"--divisor={m},0,0,0"],
+        capture_output=True, text=True, timeout=20,
+        env=dict(os.environ, PYTHONPATH=str(package_root)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"rank": m - 3}
+
+
 def test_stabilize_of_a_huge_divisor_returns(tmp_path):
     """Run in a subprocess with a timeout: stabilize once fired the
     lowest-index overfull vertex and scanned again, passing the chips round
@@ -558,6 +575,17 @@ def test_request_inputs_are_checked_in_one_order(capsys, tmp_path, t3_file):
     assert "missing.json" in capsys.readouterr().err
 
 
+def test_rr_check_formula_box_is_budgeted(capsys, exb_file):
+    """The box holds (2K + 1)^n divisors: 3^6 = 729 on ex_b at K = 1."""
+    assert main(["rr-check", exb_file, "--formula-box", "1", "--budget", "100"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "formula box needs 729 divisors, budget is 100" in captured.err
+    code, doc = run(capsys, ["rr-check", exb_file, "--formula-box", "1", "--budget", "729"])
+    assert code == 0
+    assert doc["formula_ok"] is True
+
+
 COMMANDS = (
     [["info"], ["reduce"], ["dhar"], ["rank"], ["extremes"], ["rr-check"]]
     + [["sandpile", a] for a in ("stabilize", "recurrent", "minimal")]
@@ -620,7 +648,7 @@ def cli_requests(draw, workdir):
         argv.append(f"--game={draw(st.sampled_from(['row', 'column']))}")
     if name in DIVISOR_COMMANDS:
         length = n + draw(st.sampled_from([0] * 6 + [-1, 1]))
-        bound = 10**18 if name in ("reduce", "sandpile") else 6
+        bound = 10**18 if name in ("reduce", "sandpile", "rank") else 6
         entries = draw(st.lists(st.integers(-bound, bound) | st.integers(-6, 6),
                                 min_size=length, max_size=length))
         literal = draw(st.sampled_from([",".join(map(str, entries))] * 6 + ["x", "1,,2", ""]))
@@ -645,7 +673,8 @@ def test_fuzzed_requests_exit_0_to_3_without_raising(tmp_path, data):
 
     Exit 1 means a requested property check failed, so only ``rr-check
     --formula-box`` and ``arith check`` may return it.  Divisor entries of
-    ``rank`` stay within 6 because it takes no budget.
+    ``reduce``, ``sandpile`` and ``rank`` go up to 10**18; those of ``dhar``
+    and the oracles stay within 6.
     """
     argv = data.draw(cli_requests(tmp_path))
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):

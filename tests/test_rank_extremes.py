@@ -10,6 +10,7 @@ from chipfire.arithmetical import associated_digraph, chip_game
 from chipfire.divisor_algebra import degree
 from chipfire.games import column_game, row_game
 from chipfire.rank_extremes import (
+    _effective_classes_by_degree,
     enumerate_extremes,
     in_sigma,
     is_extreme,
@@ -162,3 +163,63 @@ def test_extremes_match_the_box_scan_oracle(cases):
         for base in bases:
             got = enumerate_extremes(game, base)
             assert got == oracle.extremes_bruteforce(game, base), (name, base)
+
+
+def loop_rank(game, base, divisor):
+    """Reference: the degree loop alone, with no closed form and no memo.
+    The least d with some effective class E of degree d and D - E in Sigma
+    is the rank plus one."""
+    res = game.lattice.residue(divisor)
+    deg = degree(game.weight, res)
+    d = 0
+    while True:
+        eff_classes = _effective_classes_by_degree(game, d)
+        if eff_classes and (deg < d or any(
+            in_sigma(game, base, tuple(a - b for a, b in zip(res, e))) for e in eff_classes
+        )):
+            return d - 1
+        d += 1
+
+
+def stable_box_cut(game, base):
+    """Every class of weighted degree above this is effective."""
+    w = game.weight
+    return sum((game.threshold(v) - 1) * x for v, x in enumerate(w) if v != base) - w[base]
+
+
+def divisor_of_degree(rng, game, base, target):
+    """A small random divisor moved to the target degree at the base."""
+    w = game.weight
+    while True:
+        d = [rng.randint(-3, 3) for _ in w]
+        gap = target - degree(w, d)
+        if gap % w[base] == 0:
+            d[base] += gap // w[base]
+            return tuple(d)
+
+
+@pytest.mark.parametrize("name,game", small_games())
+def test_rank_matches_the_degree_loop_across_twice_the_cut(name, game):
+    """One divisor per degree from cut - 2 to 2 cut + 3 at every base: the
+    closed form past 2 cut and the loop below it give the loop's rank."""
+    rng = random.Random(name)
+    for base in range(game.n_vertices):
+        cut = stable_box_cut(game, base)
+        for target in range(cut - 2, 2 * cut + 4):
+            d = divisor_of_degree(rng, game, base, target)
+            assert rank(game, base, d) == loop_rank(game, base, d), (base, d)
+
+
+@pytest.mark.parametrize("name,game", [
+    (name, game) for name, game, _ in _ladder_cases()
+    if name in ("k4u", "ex_a", "ex_b", "ex_c", "ec(4)", "ec(5)")
+    or name.startswith("star(4") or name.startswith("star(5")
+])
+def test_rank_is_degree_minus_g_max_above_twice_the_top_sigma_degree(name, game):
+    """Above 2 (g_max - 1), Sigma's top degree doubled, r(D) = deg D - g_max,
+    through the loop up to 2 cut and the closed form past it."""
+    rng = random.Random(name)
+    g_max = enumerate_extremes(game, 0).g_max
+    for target in [*range(2 * g_max - 1, 2 * g_max + 3), 10**6, 10**20]:
+        d = divisor_of_degree(rng, game, 0, target)
+        assert rank(game, 0, d) == target - g_max, d

@@ -7,7 +7,8 @@ from chipfire import fixtures
 from chipfire.arithmetical import associated_digraph, chip_game, digraph_natural_rr
 from chipfire.errors import NotSandpileForm, NotStable
 from chipfire.games import column_game, row_game
-from chipfire.reduction import stable_box
+from chipfire.rank_extremes import in_sigma, is_extreme
+from chipfire.reduction import all_reduced_representatives, stable_box
 from chipfire.riemann_roch import rr_verdict
 from chipfire.sandpile import (
     dual_divisor,
@@ -193,6 +194,38 @@ def test_minimal_recurrents_of_col_exb_match_pairwise_reference():
     """At base 0 only: 5,184 recurrents, and each other base has more."""
     game = column_game(associated_digraph(fixtures.ex_b()))
     assert minimal_recurrents(game, 0) == pairwise_minimal_recurrents(game, 0)
+
+
+def per_vertex_extreme(game, base, divisor):
+    """Reference: the sandpile form of the extreme test.  D lies in Sigma and
+    for every vertex v some v-reduced representative has value -1 at v."""
+    return in_sigma(game, base, divisor) and all(
+        any(rep[v] == -1 for rep in all_reduced_representatives(game, v, divisor))
+        for v in range(game.n_vertices)
+    )
+
+
+def sandpile_criterion_games():
+    row = [fixtures.k4u(), fixtures.p3(), fixtures.t3(), fixtures.b2(),
+           associated_digraph(fixtures.ec(2)), associated_digraph(fixtures.ex_a())]
+    chip = [fixtures.ex_a(), fixtures.ex_b(), fixtures.ex_c(), fixtures.uniform_only()]
+    column = [fixtures.b2(), fixtures.p3(), associated_digraph(fixtures.ex_a())]
+    return ([row_game(g) for g in row] + [chip_game(ag) for ag in chip]
+            + [column_game(g) for g in column])
+
+
+def test_per_vertex_criterion_is_is_extreme_on_shifted_minimal_recurrents():
+    """Every minimal recurrent minus 1, moved by -3..3 at the base, at every
+    base: the per-vertex test and is_extreme agree."""
+    for game in sandpile_criterion_games():
+        for base in range(game.n_vertices):
+            for config in minimal_recurrents(game, base):
+                for shift in range(-3, 4):
+                    d = [c - 1 for c in config]
+                    d[base] += shift
+                    assert per_vertex_extreme(game, base, d) == is_extreme(game, base, d), (
+                        game, base, d,
+                    )
 
 
 def test_natural_rr_via_sandpile_agrees_on_unit_weight_games():
