@@ -10,6 +10,7 @@ import functools
 import json
 import os
 import sys
+from math import prod
 
 from . import arithmetical, fixtures, oracle, rank_extremes, reduction, riemann_roch, sandpile
 from .arithmetical import ArithmeticalGraph, chip_game
@@ -17,7 +18,7 @@ from .errors import BudgetExceeded, ChipfireError
 from .games import column_game, row_game
 from .graph_core import is_strongly_connected, period_vector
 from .graph_io import load_graph, parse_divisor
-from .reduction import DEFAULT_BUDGET
+from .reduction import DEFAULT_BUDGET, check_budget
 
 
 def _budget(args):
@@ -144,18 +145,11 @@ def cmd_extremes(args, game):
 
 
 def cmd_rr_check(args, game):
-    if args.formula_box < 0:
-        raise ChipfireError(f"--formula-box must be nonnegative, got {args.formula_box}")
     budget = _budget(args)
     report = riemann_roch.rr_verdict(game, args.base, budget=budget)
     out = _report_json(report)
-    if args.formula_box and report.rr_property:
-        box = (2 * args.formula_box + 1) ** game.n_vertices
-        if box > budget:
-            raise BudgetExceeded(box, budget, f"formula box needs {box} divisors")
-        out["formula_ok"] = riemann_roch.rr_formula_check(
-            game, args.base, report, args.formula_box
-        )
+    if args.formula and report.rr_property:
+        out["formula_ok"] = riemann_roch.rr_formula_check(game, args.base, report, budget)
     _emit(out)
     return 0 if out.get("formula_ok", True) else 1
 
@@ -176,9 +170,20 @@ def cmd_sandpile(args, game):
 
 def cmd_arith(args, graph):
     if args.action == "star":
-        if args.r0 is None or args.r1 is None:
+        r0, r1 = args.r0, args.r1
+        if r0 is None or r1 is None:
             raise ChipfireError("arith star needs --r0 and --r1")
-        _emit(_arith_summary(fixtures.star(args.r0, args.r1)))
+        if not r0 > r1 >= 1:
+            raise ChipfireError(f"arith star needs --r0 > --r1 >= 1, got {r0} and {r1}")
+        # The star has n = 1 + r0 m vertices, m >= 1 the length of a chain,
+        # so r0 alone can refuse its n x n matrix before the Euclidean
+        # sequence, up to r0 long, is built.
+        budget = _budget(args)
+        n = 1 + r0
+        if n * n <= budget:
+            n = 1 + r0 * (len(arithmetical.euclidean_sequence(r0, r1).values) - 1)
+        check_budget(n * n, budget, f"star({r0},{r1}) needs a {n} x {n} matrix")
+        _emit(_arith_summary(fixtures.star(r0, r1)))
         return 0
     if not isinstance(graph, ArithmeticalGraph):
         raise ChipfireError("this subcommand needs an arithmetical graph")
@@ -202,6 +207,12 @@ def cmd_oracle(args, game):
     if args.box < 0:
         raise ChipfireError(f"--box must be nonnegative, got {args.box}")
     divisor = _divisor(args, game)
+    if args.action == "reduced":
+        count = prod(s + 1 for v, s in enumerate(game.period) if v != args.base)
+    else:  # the box of one effectivity search, with vertex 0 taken modulo S[0]
+        count = min(game.period[0], args.box + 1) * (2 * args.box + 1) ** (game.n_vertices - 1)
+    budget = _budget(args)
+    check_budget(count, budget, f"oracle {args.action} searches {count} strategies")
     if args.action == "rank":
         _emit({"rank": oracle.rank_bruteforce(game, args.base, divisor, box=args.box)})
     elif args.action == "effective":
@@ -219,6 +230,7 @@ _OPTIONS = {
     "--divisor": {"default": None},
 }
 _SCAN_OPTIONS = ("--base", "--game", "--budget")
+_QUERY_OPTIONS = ("--base", "--game", "--divisor")
 
 
 def _subcommand(sub, name, func, actions=(), graph=_GRAPH_FILE, options=tuple(_OPTIONS)):
@@ -237,12 +249,14 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="chipfire")
     sub = parser.add_subparsers(dest="command", required=True)
     _subcommand(sub, "info", cmd_info, graph={}, options=())
-    _subcommand(sub, "reduce", cmd_reduce).add_argument("--trace", action="store_true")
-    _subcommand(sub, "dhar", cmd_dhar)
-    _subcommand(sub, "rank", cmd_rank)
+    _subcommand(sub, "reduce", cmd_reduce, options=_QUERY_OPTIONS).add_argument(
+        "--trace", action="store_true"
+    )
+    _subcommand(sub, "dhar", cmd_dhar, options=_QUERY_OPTIONS)
+    _subcommand(sub, "rank", cmd_rank, options=_QUERY_OPTIONS)
     _subcommand(sub, "extremes", cmd_extremes, options=_SCAN_OPTIONS)
     _subcommand(sub, "rr-check", cmd_rr_check, options=_SCAN_OPTIONS).add_argument(
-        "--formula-box", type=int, default=0, dest="formula_box"
+        "--formula", action="store_true"
     )
     _subcommand(sub, "sandpile", cmd_sandpile, ("stabilize", "recurrent", "minimal"))
     p = _subcommand(

@@ -33,6 +33,12 @@ def parse_graph(data):
             f"{kind} graph: 'vertices', every [i, j, multiplicity] entry and"
             " every multiplicity must be integers"
         )
+    # Before any n x n matrix: every vertex must lie on a listed arc or edge,
+    # so n is at most twice the length of the list.
+    touched = {i for row in rows for i in row[:2]}
+    isolated = next((v for v in range(n) if v not in touched), None)
+    if isolated is not None:
+        raise InvalidGraph(f"vertex {isolated} lies on no {'arc' if kind == 'digraph' else 'edge'}")
     if kind == "digraph":
         return build_digraph([tuple(a) for a in rows], n_vertices=n)
     adjacency = [[0] * n for _ in range(n)]

@@ -2,10 +2,12 @@
 
 from itertools import product
 
-from .divisor_algebra import degree, valid_strategies
-from .errors import NotSandpileForm
-from .rank_extremes import ExtremeClass, ExtremeClassSet, in_sigma, is_extreme
-from .reduction import DEFAULT_BUDGET, all_reduced_representatives, is_reduced, stable_box
+from .divisor_algebra import degree, degree_plus, valid_strategies
+from .errors import NotSandpileForm, NotStable
+from .rank_extremes import ExtremeClass, ExtremeClassSet, enumerate_extremes, in_sigma, is_extreme
+from .reduction import DEFAULT_BUDGET, all_reduced_representatives, check_sandpile_form
+from .reduction import is_reduced, reduce, stable_box
+from .sandpile import is_stable, stabilize
 
 
 def effective_bruteforce(game, divisor, box):
@@ -125,3 +127,61 @@ def extremes_bruteforce(game, base, budget=DEFAULT_BUDGET):
     return ExtremeClassSet(
         classes=ordered, g_min=min(degrees) + 1, g_max=max(degrees) + 1
     )
+
+
+def is_recurrent_oracle(game, base, divisor, headroom):
+    """Bounded reachability check: search for an overfull configuration that
+    stabilizes to D off the base.  One-sided: False may mean the headroom was
+    too small."""
+    check_sandpile_form(game, base, divisor)
+    if not is_stable(game, base, divisor):
+        raise NotStable("recurrence is defined for stable configurations")
+    n = game.n_vertices
+    others = [v for v in range(n) if v != base]
+    ranges = [
+        range(game.threshold(v), game.threshold(v) + headroom + 1)
+        for v in others
+    ]
+    for combo in product(*ranges):
+        start = list(divisor)
+        for v, value in zip(others, combo):
+            start[v] = value
+        stable, _ = stabilize(game, base, start)
+        if all(stable[v] == divisor[v] for v in others):
+            return True
+    return False
+
+
+def rank_via_extremes(game, base, divisor, box_radius, extremes=None):
+    """Bounded rank cross-check via extreme translates.
+
+    min over extreme classes and lattice translates (basis coefficients in
+    [-box_radius, box_radius]) of the positive-part degree of the difference,
+    minus 1.  Monotone nonincreasing in the radius; equals the rank once the
+    box is large enough.
+    """
+    if extremes is None:
+        extremes = enumerate_extremes(game, base)
+    basis = game.lattice.basis()
+    n = game.n_vertices
+    best = None
+    for cls in extremes.classes:
+        # Center the translate search on the reduced difference; the raw
+        # difference may sit far from the minimizing coset representative.
+        start = list(
+            reduce(
+                game, base, tuple(d - r for d, r in zip(divisor, cls.rep))
+            )[0]
+        )
+        for coeffs in product(
+            range(-box_radius, box_radius + 1), repeat=len(basis)
+        ):
+            diff = list(start)
+            for c, b in zip(coeffs, basis):
+                if c:
+                    for i in range(n):
+                        diff[i] -= c * b[i]
+            val = degree_plus(game.weight, diff)
+            if best is None or val < best:
+                best = val
+    return best - 1

@@ -1,12 +1,10 @@
 """The Sigma region, the rank function, and extreme divisor classes."""
 
 from dataclasses import dataclass
-from itertools import product
 from math import gcd, prod
 
-from .divisor_algebra import degree, degree_plus
-from .errors import BudgetExceeded
-from .reduction import DEFAULT_BUDGET, all_reduced_representatives, is_effective_class
+from .divisor_algebra import degree
+from .reduction import DEFAULT_BUDGET, all_reduced_representatives, check_budget, is_effective_class
 
 
 @dataclass(frozen=True)
@@ -65,6 +63,39 @@ def _effective_classes_by_degree(game, target):
                     found.add(lat.bump(res, v, 1))
         cache.append(found)
     return cache[target]
+
+
+def _classes_per_degree(game):
+    """How many classes each attainable degree (a multiple of gcd(w)) holds.
+
+    Z^n / (L + Z e_free) has order P, the product of the Hermite pivots.
+    Each of its P cosets is a class plus the multiples of e_free, which adds
+    w_free to the degree, so it meets w_free / gcd(w) consecutive attainable
+    degrees once; as every degree holds equally many classes, each holds
+    P gcd(w) / w_free.
+    """
+    lat = game.lattice
+    pivot_cols = {col for col, _ in lat.pivots}
+    free = next(v for v in range(game.n_vertices) if v not in pivot_cols)
+    return prod(row[col] for col, row in lat.pivots) * gcd(*game.weight) // game.weight[free]
+
+
+def _classes_of_degree(game, g_max, d):
+    """The residues of every class of attainable degree d, g_max being the game's.
+
+    Every class of degree g_max or more is effective (Sigma's top degree is
+    g_max - 1).  So with v0 of least weight and k = ceil((g_max - d) / w_v0),
+    adding k chips at v0 maps the classes of degree d one to one onto the
+    table's full degree d + k w_v0, and one residue shifts each back.
+    """
+    weight = game.weight
+    v0 = min(range(game.n_vertices), key=weight.__getitem__)
+    k = (g_max - d + weight[v0] - 1) // weight[v0]
+    lat = game.lattice
+    for res in _effective_classes_by_degree(game, d + k * weight[v0]):
+        shifted = list(res)
+        shifted[v0] -= k
+        yield lat.residue(shifted)
 
 
 def rank(game, base, divisor):
@@ -142,20 +173,15 @@ def enumerate_extremes(game, base, budget=DEFAULT_BUDGET):
     its base entry E(base) - 1 < 0 as c is not effective.
     """
     game.check_base(base)
-    if budget < 0:
-        raise ValueError(f"budget must be nonnegative, got {budget}")
     lat = game.lattice
     weight = game.weight
     step = gcd(*weight)
-    pivot_cols = {col for col, _ in lat.pivots}
-    free = next(v for v in range(game.n_vertices) if v not in pivot_cols)
-    full = prod(row[col] for col, row in lat.pivots) * step // weight[free]
+    full = _classes_per_degree(game)
     held = run = d = 0
     while run * step < max(weight):
         size = len(_effective_classes_by_degree(game, d))
         held += size
-        if held > budget:
-            raise BudgetExceeded(held, budget, f"class table size {held} after degree {d}")
+        check_budget(held, budget, f"class table size {held} after degree {d}")
         run = run + 1 if size == full else 0
         d += step
     top = d - (run + 1) * step  # the highest degree that is not full
@@ -185,39 +211,3 @@ def enumerate_extremes(game, base, budget=DEFAULT_BUDGET):
         classes=ordered, g_min=min(degrees) + 1, g_max=max(degrees) + 1
     )
 
-
-def rank_via_extremes(game, base, divisor, box_radius, extremes=None):
-    """Bounded rank cross-check via extreme translates.
-
-    min over extreme classes and lattice translates (basis coefficients in
-    [-box_radius, box_radius]) of the positive-part degree of the difference,
-    minus 1.  Monotone nonincreasing in the radius; equals the rank once the
-    box is large enough.
-    """
-    from . import reduction
-
-    if extremes is None:
-        extremes = enumerate_extremes(game, base)
-    basis = game.lattice.basis()
-    n = game.n_vertices
-    best = None
-    for cls in extremes.classes:
-        # Center the translate search on the reduced difference; the raw
-        # difference may sit far from the minimizing coset representative.
-        start = list(
-            reduction.reduce(
-                game, base, tuple(d - r for d, r in zip(divisor, cls.rep))
-            )[0]
-        )
-        for coeffs in product(
-            range(-box_radius, box_radius + 1), repeat=len(basis)
-        ):
-            diff = list(start)
-            for c, b in zip(coeffs, basis):
-                if c:
-                    for i in range(n):
-                        diff[i] -= c * b[i]
-            val = degree_plus(game.weight, diff)
-            if best is None or val < best:
-                best = val
-    return best - 1

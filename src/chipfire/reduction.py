@@ -97,8 +97,16 @@ def is_reduced(game, base, divisor):
 
 
 # Work a search may do unless told otherwise: the candidates of a box scan,
-# or the residues of a class table.
+# the residues of a class table, or the classes of a degree window.
 DEFAULT_BUDGET = 10_000_000
+
+
+def check_budget(need, budget, reached):
+    """Raise ValueError for a negative budget, BudgetExceeded if need passes it."""
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
+    if need > budget:
+        raise BudgetExceeded(need, budget, reached)
 
 
 def stable_box(game, base, budget):
@@ -108,12 +116,9 @@ def stable_box(game, base, budget):
     size is within it, before yielding the first divisor.
     """
     game.check_base(base)
-    if budget < 0:
-        raise ValueError(f"budget must be nonnegative, got {budget}")
     others = [v for v in range(game.n_vertices) if v != base]
     total = prod(game.threshold(v) for v in others)
-    if total > budget:
-        raise BudgetExceeded(total, budget, f"enumeration needs {total} candidates")
+    check_budget(total, budget, f"enumeration needs {total} candidates")
     for combo in product(*[range(game.threshold(v)) for v in others]):
         yield combo[:base] + (0,) + combo[base:]
 

@@ -2,14 +2,13 @@
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import gcd
 
 from .divisor_algebra import degree, equivalent
 from .errors import DimensionError
 from .games import scaled_game
-from .rank_extremes import enumerate_extremes, rank
-from .reduction import DEFAULT_BUDGET, all_reduced_representatives
+from .rank_extremes import _classes_of_degree, _classes_per_degree, enumerate_extremes, rank
+from .reduction import DEFAULT_BUDGET, all_reduced_representatives, check_budget
 
 
 @dataclass(frozen=True)
@@ -140,46 +139,55 @@ def rr_verdict(game, base, budget=DEFAULT_BUDGET):
     )
 
 
-def _rank_differences(game, base, canonical, sample_box):
-    """(deg D, r(D) - r(K - D)) for one D per lattice residue in the sample box.
-
-    Both values are class invariants, so each residue is taken once.
-    """
-    seen = set()
-    for entries in product(range(-sample_box, sample_box + 1), repeat=game.n_vertices):
-        res = game.lattice.residue(entries)
-        if res in seen:
-            continue
-        seen.add(res)
-        diff = rank(game, base, res) - rank(
-            game, base, tuple(a - b for a, b in zip(canonical, res))
-        )
-        yield degree(game.weight, res), diff
-
-
-def rr_formula_check(game, base, report, sample_box):
-    """Verify r(D) - r(K-D) = deg(D) - g + 1 on the sample box."""
-    if not report.rr_property:
-        raise ValueError("formula check requires the Riemann-Roch property")
-    g = report.g
-    return all(
-        diff == deg - g + 1
-        for deg, diff in _rank_differences(game, base, report.canonical, sample_box)
-    )
-
-
-def canonical_inequality_check(game, base, report, sample_box):
-    """Verify the two-sided canonical inequality on the sample box:
+def canonical_inequality_check(game, base, report, budget=DEFAULT_BUDGET):
+    """Whether every divisor D satisfies the two-sided canonical inequality
 
     deg(D) - 3 g_max + 2 g_min + 1 <= r(D) - r(K-D) <= deg(D) - g_min + 1.
+
+    With T = g_max - 1 the top degree of Sigma, r(D) = -1 when deg D < 0 and
+    r(D) = deg D - g_max when deg D > 2T (see ``rank``).  Above the window
+    [min(0, deg K - 2T), max(2T, deg K)], deg D > 2T and deg K - D < 0, so
+    the difference is deg D - g_max + 1, which lies within both bounds as
+    g_min <= g_max.  Below it, deg D < 0 and deg K - D > 2T, so the
+    difference is deg D + g_max - 1 - deg K, and the bounds reduce to
+    g_min + g_max - 2 <= deg K <= 4 g_max - 2 g_min - 2.  So the inequality
+    holds everywhere iff deg K is in that range and it holds on every class
+    of the window.  Both ranks are class invariants, so each class is taken
+    once; the window's class count is checked against the budget first.
     """
     if not report.reflection_invariant:
         raise ValueError("inequality check requires reflection invariance")
     g_min = report.extremes.g_min
     g_max = report.extremes.g_max
-    return all(
-        deg - 3 * g_max + 2 * g_min + 1 <= diff <= deg - g_min + 1
-        for deg, diff in _rank_differences(game, base, report.canonical, sample_box)
+    canonical = report.canonical
+    deg_k = degree(game.weight, canonical)
+    lo, hi = min(0, deg_k - 2 * g_max + 2), max(2 * g_max - 2, deg_k)
+    degrees = range(lo, hi + 1, gcd(*game.weight))
+    count = len(degrees) * _classes_per_degree(game)
+    check_budget(count, budget, f"degree window {lo}..{hi} holds {count} classes")
+    return g_min + g_max - 2 <= deg_k <= 4 * g_max - 2 * g_min - 2 and all(
+        d - 3 * g_max + 2 * g_min + 1
+        <= rank(game, base, res) - rank(game, base, tuple(a - b for a, b in zip(canonical, res)))
+        <= d - g_min + 1
+        for d in degrees
+        for res in _classes_of_degree(game, g_max, d)
+    )
+
+
+def rr_formula_check(game, base, report, budget=DEFAULT_BUDGET):
+    """Whether r(D) - r(K - D) = deg D - g + 1 holds for every divisor D.
+
+    As deg D grows the difference is deg D - g_max + 1 (see
+    ``canonical_inequality_check``), so the formula needs g = g_max.  With
+    g = g_min = g_max both bounds of the canonical inequality are
+    deg D - g + 1, so the formula is that inequality: it holds everywhere
+    iff deg K = 2g - 2 and it holds on every class of degree 0 .. 2g - 2.
+    """
+    if not report.rr_property:
+        raise ValueError("formula check requires the Riemann-Roch property")
+    extremes = report.extremes
+    return report.g == extremes.g_min == extremes.g_max and canonical_inequality_check(
+        game, base, report, budget
     )
 
 

@@ -1,7 +1,5 @@
 """Directed sandpile dynamics: stabilization, recurrence, minimal recurrents."""
 
-from itertools import product
-
 from .errors import NotStable
 from .divisor_algebra import degree
 from .rank_extremes import is_extreme
@@ -47,29 +45,6 @@ def is_recurrent(game, base, divisor):
     if not is_stable(game, base, divisor):
         raise NotStable("recurrence is defined for stable configurations")
     return is_reduced(game, base, dual_divisor(game, divisor))
-
-
-def is_recurrent_oracle(game, base, divisor, headroom):
-    """Bounded reachability check: search for an overfull configuration that
-    stabilizes to D off the base.  One-sided: False may mean the headroom was
-    too small."""
-    check_sandpile_form(game, base, divisor)
-    if not is_stable(game, base, divisor):
-        raise NotStable("recurrence is defined for stable configurations")
-    n = game.n_vertices
-    others = [v for v in range(n) if v != base]
-    ranges = [
-        range(game.threshold(v), game.threshold(v) + headroom + 1)
-        for v in others
-    ]
-    for combo in product(*ranges):
-        start = list(divisor)
-        for v, value in zip(others, combo):
-            start[v] = value
-        stable, _ = stabilize(game, base, start)
-        if all(stable[v] == divisor[v] for v in others):
-            return True
-    return False
 
 
 def minimal_recurrents(game, base, budget=DEFAULT_BUDGET):

@@ -434,15 +434,18 @@ def test_zero_budget_is_valid(capsys, monkeypatch, exa_file):
     assert "budget is 0" in capsys.readouterr().err
 
 
-def test_rr_check_negative_formula_box_exits_2(capsys, t3_file):
-    """An empty formula box used to report "formula_ok": true."""
-    assert main(["rr-check", t3_file, "--formula-box", "-1"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "--formula-box must be nonnegative, got -1" in captured.err
-    code, doc = run(capsys, ["rr-check", t3_file, "--formula-box", "0"])
+def test_rr_check_formula_is_a_flag(capsys, t3_file, exa_file):
+    """--formula takes no value, and a game without the Riemann-Roch
+    property reports no formula verdict."""
+    assert main(["rr-check", t3_file, "--formula", "1"]) == 2
+    assert main(["rr-check", t3_file, "--formula-box", "1"]) == 2
+    capsys.readouterr()
+    code, doc = run(capsys, ["rr-check", t3_file, "--formula"])
     assert code == 0
-    assert "formula_ok" not in doc
+    assert doc["formula_ok"] is True
+    code, doc = run(capsys, ["rr-check", exa_file, "--formula"])
+    assert code == 0
+    assert doc["rr"] is False and "formula_ok" not in doc
 
 
 @pytest.mark.skipif(sys.version_info >= (3, 13),
@@ -526,7 +529,7 @@ def test_stdout_matches_streaming_encoder(capsys, monkeypatch, t3_file, exb_file
     (["sandpile", "stabilize", "--divisor=0,7,1,2,3,4"], 0),
     (["sandpile", "recurrent", "--divisor=0,1,2,2,1,1"], 0),
     (["rank", "--divisor=1,1,1,1,1,1"], 1),
-    (["rr-check", "--formula-box=0"], 1),
+    (["rr-check", "--formula"], 1),
     (["rank", "--game=column", "--divisor=-1,0,0"], 1),
 ], ids=["reduce", "dhar", "sandpile-stabilize", "sandpile-recurrent", "rank", "rr-check",
         "rank-column"])
@@ -542,11 +545,11 @@ def test_only_lattice_queries_build_a_basis(capsys, lattice_builds, exb_file, t3
 def test_readme_rr_check_example(capsys, tmp_path):
     """The README's rr-check example is what the CLI prints for the triangle."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    block = readme.split("$ chipfire rr-check triangle.json --formula-box 1\n", 1)[1]
+    block = readme.split("$ chipfire rr-check triangle.json --formula\n", 1)[1]
     path = tmp_path / "triangle.json"
     arcs = [[i, j, 1] for i in range(3) for j in range(3) if i != j]
     path.write_text(json.dumps({"type": "digraph", "vertices": 3, "arcs": arcs}))
-    code, doc = run(capsys, ["rr-check", str(path), "--formula-box", "1"])
+    code, doc = run(capsys, ["rr-check", str(path), "--formula"])
     assert code == 0
     assert doc == json.loads(block.split("```", 1)[0])
 
@@ -571,19 +574,123 @@ def test_request_inputs_are_checked_in_one_order(capsys, tmp_path, t3_file):
     assert main(["reduce", t3_file, "--base", "9", "--divisor=x"]) == 2
     assert "base 9 is not in range(3)" in capsys.readouterr().err
     missing = str(tmp_path / "missing.json")
-    assert main(["rr-check", missing, "--formula-box", "-1"]) == 2
+    assert main(["oracle", "effective", missing, "--box", "-1", "--divisor=x"]) == 2
     assert "missing.json" in capsys.readouterr().err
+    assert main(["oracle", "effective", t3_file, "--divisor=x", "--budget", "0"]) == 2
+    assert "bad divisor literal" in capsys.readouterr().err
 
 
-def test_rr_check_formula_box_is_budgeted(capsys, exb_file):
-    """The box holds (2K + 1)^n divisors: 3^6 = 729 on ex_b at K = 1."""
-    assert main(["rr-check", exb_file, "--formula-box", "1", "--budget", "100"]) == 3
+def test_rr_check_formula_window_is_budgeted(capsys, exb_file):
+    """ex_b (g = 5) has 4 classes per degree, so degrees 0..8 hold 36."""
+    assert main(["rr-check", exb_file, "--formula", "--budget", "35"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "formula box needs 729 divisors, budget is 100" in captured.err
-    code, doc = run(capsys, ["rr-check", exb_file, "--formula-box", "1", "--budget", "729"])
+    assert "degree window 0..8 holds 36 classes, budget is 35" in captured.err
+    code, doc = run(capsys, ["rr-check", exb_file, "--formula", "--budget", "36"])
     assert code == 0
     assert doc["formula_ok"] is True
+
+
+def test_rr_check_formula_on_star_5_3(capsys, tmp_path):
+    """star(5,3) has 5^16 points in a radius-2 sample box, but 1,375
+    classes in its degree window."""
+    from chipfire import fixtures
+
+    ag = fixtures.star(5, 3)
+    n = ag.n_vertices
+    edges = [[i, j, ag.adjacency[i][j]] for i in range(n) for j in range(i + 1, n)
+             if ag.adjacency[i][j]]
+    path = tmp_path / "star53.json"
+    path.write_text(json.dumps({"type": "arithmetical", "vertices": n, "edges": edges,
+                                "multiplicities": list(ag.multiplicities)}))
+    code, doc = run(capsys, ["rr-check", str(path), "--formula"])
+    assert code == 0
+    assert doc["rr"] is True and doc["g"] == 6 and doc["formula_ok"] is True
+    assert main(["rr-check", str(path), "--formula", "--budget", "1374"]) == 3
+    assert "holds 1375 classes, budget is 1374" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,count", [
+    (["effective", "--divisor=-1,0,0,0", "--box=40"], 81**3),
+    (["rank", "--divisor=0,0,0,0", "--box=1000"], 2001**3),
+    (["reduced", "--divisor=0,0,0,0"], 8),
+], ids=["effective", "rank", "reduced"])
+def test_oracle_counts_its_strategies_against_the_budget(capsys, tmp_path, argv, count):
+    """k4u has period (1, 1, 1, 1): an effectivity search walks one base
+    value times (2 box + 1)^3 strategies, and the reducedness check
+    2^3 - 1 valid strategies plus the zero one."""
+    path = tmp_path / "k4u.json"
+    arcs = [[i, j, 1] for i in range(4) for j in range(4) if i != j]
+    path.write_text(json.dumps({"type": "digraph", "vertices": 4, "arcs": arcs}))
+    command = ["oracle", argv[0], str(path), *argv[1:]]
+    assert main([*command, f"--budget={count - 1}"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"oracle {argv[0]} searches {count} strategies, budget is {count - 1}" in captured.err
+    if count <= 1000:
+        assert main([*command, f"--budget={count}"]) == 0
+
+
+@pytest.mark.parametrize("command", [["reduce"], ["dhar"], ["rank"]])
+def test_queries_take_no_budget(capsys, t3_file, command):
+    """reduce, dhar and rank read no budget, so they do not accept one."""
+    assert main([*command, t3_file, "--divisor=0,0,0", "--budget", "-5"]) == 2
+    assert "unrecognized arguments: --budget -5" in capsys.readouterr().err
+
+
+def _run_capped(argv, tmp_path):
+    """Run the CLI in a subprocess under an 800 MB address-space cap."""
+    resource = pytest.importorskip("resource")
+    package_root = Path(importlib.import_module("chipfire").__file__).resolve().parents[1]
+    cap = 800 * 2**20
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    return subprocess.run([sys.executable, "-m", "chipfire.cli", *argv],
+                          capture_output=True, text=True, timeout=20, cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=str(package_root)),
+                          preexec_fn=limit)
+
+
+@pytest.mark.parametrize("graph,message", [
+    ({"type": "digraph", "vertices": 200000, "arcs": [[0, 1, 1], [1, 0, 1]]},
+     "vertex 2 lies on no arc"),
+    ({"type": "digraph", "vertices": 10**18, "arcs": [[0, 1, 1], [1, 0, 1]]},
+     "vertex 2 lies on no arc"),
+    ({"type": "arithmetical", "vertices": 200000, "edges": [[0, 1, 1]],
+      "multiplicities": [1, 1]}, "vertex 2 lies on no edge"),
+    ({"type": "digraph", "vertices": 3, "arcs": [[0, 1, 1], [1, 0, 1]]},
+     "vertex 2 lies on no arc"),
+], ids=["digraph-200000", "digraph-1e18", "arithmetical-200000", "digraph-3"])
+def test_graph_with_an_isolated_vertex_exits_2_before_allocating(tmp_path, graph, message):
+    """The vertex count once sized an n x n matrix before any check: 200,000
+    vertices printed a MemoryError traceback under this cap."""
+    (tmp_path / "g.json").write_text(json.dumps(graph))
+    proc = _run_capped(["info", "g.json"], tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stderr
+
+
+def test_arith_star_checks_its_matrix_against_the_budget(tmp_path):
+    """star(r0, 1) has 1 + r0 vertices; at r0 = 300,000 its matrix once
+    raised MemoryError under this cap."""
+    proc = _run_capped(["arith", "star", "--r0", "300000", "--r1", "1"], tmp_path)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "star(300000,1) needs a 300001 x 300001 matrix" in proc.stderr
+    proc = _run_capped(["arith", "star", "--r0", "10000000000", "--r1", "9999999999"], tmp_path)
+    assert proc.returncode == 3, proc.stderr
+    proc = _run_capped(["arith", "star", "--r0", "5", "--r1", "3", "--budget", "120"], tmp_path)
+    assert proc.returncode == 3, proc.stderr
+    assert "star(5,3) needs a 11 x 11 matrix, budget is 120" in proc.stderr
+    proc = _run_capped(["arith", "star", "--r0", "5", "--r1", "3", "--budget", "121"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["vertices"] == 11
+    proc = _run_capped(["arith", "star", "--r0", "3", "--r1", "5"], tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "arith star needs --r0 > --r1 >= 1, got 3 and 5" in proc.stderr
 
 
 COMMANDS = (
@@ -594,6 +701,7 @@ COMMANDS = (
 )
 GAME_COMMANDS = {"reduce", "dhar", "rank", "extremes", "rr-check", "sandpile", "oracle"}
 DIVISOR_COMMANDS = {"reduce", "dhar", "rank", "sandpile", "oracle"}
+BUDGET_COMMANDS = {"extremes", "rr-check", "sandpile", "arith", "oracle"}
 
 
 @st.composite
@@ -642,8 +750,8 @@ def cli_requests(draw, workdir):
     argv = list(command) + ([] if source == "none" else [str(path)])
     if name in GAME_COMMANDS or name == "arith":
         argv.append(f"--base={draw(st.sampled_from([*range(n)] * 3 + [*range(-2, 6)]))}")
-        if draw(st.booleans()):
-            argv.append(f"--budget={draw(st.integers(-1, 50))}")
+    if name in BUDGET_COMMANDS and draw(st.booleans()):
+        argv.append(f"--budget={draw(st.integers(-1, 50))}")
     if name in GAME_COMMANDS:
         argv.append(f"--game={draw(st.sampled_from(['row', 'column']))}")
     if name in DIVISOR_COMMANDS:
@@ -657,7 +765,7 @@ def cli_requests(draw, workdir):
     if name == "oracle":
         argv.append(f"--box={draw(st.integers(-1, 1))}")
     if name == "rr-check" and draw(st.booleans()):
-        argv.append(f"--formula-box={draw(st.integers(-1, 1))}")
+        argv.append("--formula")
     if name == "reduce" and draw(st.booleans()):
         argv.append("--trace")
     if command == ["arith", "star"]:
@@ -672,7 +780,7 @@ def test_fuzzed_requests_exit_0_to_3_without_raising(tmp_path, data):
     """Any argv and graph file: an exit code in {0, 1, 2, 3}, never an exception.
 
     Exit 1 means a requested property check failed, so only ``rr-check
-    --formula-box`` and ``arith check`` may return it.  Divisor entries of
+    --formula`` and ``arith check`` may return it.  Divisor entries of
     ``reduce``, ``sandpile`` and ``rank`` go up to 10**18; those of ``dhar``
     and the oracles stay within 6.
     """
@@ -682,5 +790,5 @@ def test_fuzzed_requests_exit_0_to_3_without_raising(tmp_path, data):
     assert code in (0, 1, 2, 3)
     if code == 1:
         assert argv[:2] == ["arith", "check"] or (
-            argv[0] == "rr-check" and any(a.startswith("--formula-box=") for a in argv)
+            argv[0] == "rr-check" and "--formula" in argv
         )

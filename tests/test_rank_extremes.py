@@ -15,7 +15,6 @@ from chipfire.rank_extremes import (
     in_sigma,
     is_extreme,
     rank,
-    rank_via_extremes,
 )
 from chipfire.reduction import is_effective_class
 
@@ -39,9 +38,9 @@ def test_rank_agrees_with_bruteforce_and_extremes(name, game):
         r = rank(game, 0, d)
         assert r == oracle_rank(game, 0, d, r), d
         # the translate box is one-sided: escalate until it settles
-        via = rank_via_extremes(game, 0, d, 3, extremes=extremes)
+        via = oracle.rank_via_extremes(game, 0, d, 3, extremes=extremes)
         if via != r:
-            via = rank_via_extremes(game, 0, d, 8, extremes=extremes)
+            via = oracle.rank_via_extremes(game, 0, d, 8, extremes=extremes)
         assert r == via, d
 
 

@@ -1,14 +1,23 @@
+import dataclasses
 import random
 from fractions import Fraction
+from itertools import product
+from math import gcd
 
 import pytest
 
 from chipfire import fixtures, oracle
 from chipfire.arithmetical import associated_digraph, chip_game
 from chipfire.divisor_algebra import degree, equivalent
-from chipfire.errors import DimensionError
-from chipfire.games import column_game, row_game, scaled_game
-from chipfire.rank_extremes import enumerate_extremes
+from chipfire.errors import BudgetExceeded, DimensionError
+from chipfire.games import Game, column_game, row_game, scaled_game
+from chipfire.rank_extremes import (
+    _classes_of_degree,
+    _classes_per_degree,
+    _effective_classes_by_degree,
+    enumerate_extremes,
+    rank,
+)
 from chipfire.riemann_roch import (
     canonical_inequality_check,
     crit_points,
@@ -175,7 +184,7 @@ def test_uniform_only_verdict_is_certified():
 def test_exb_rr_formula_holds():
     game = chip_game(fixtures.ex_b())
     report = rr_verdict(game, 0)
-    assert rr_formula_check(game, 0, report, 2)
+    assert rr_formula_check(game, 0, report)
 
 
 def test_reflection_witness_replay():
@@ -212,7 +221,154 @@ def test_exc_witness_is_minus_p1_minus_p2():
 def test_exc_canonical_inequality():
     game = chip_game(fixtures.ex_c())
     report = rr_verdict(game, 0)
-    assert canonical_inequality_check(game, 0, report, 2)
+    assert canonical_inequality_check(game, 0, report)
+
+
+def _box_rank_differences(game, canonical, radius):
+    """The sampler the window replaced: (deg D, r(D) - r(K - D)) for one D
+    per lattice residue in the (2 radius + 1)^n box, at base 0."""
+    seen = set()
+    for entries in product(range(-radius, radius + 1), repeat=game.n_vertices):
+        res = game.lattice.residue(entries)
+        if res not in seen:
+            seen.add(res)
+            diff = rank(game, 0, res) - rank(game, 0, tuple(a - b for a, b in zip(canonical, res)))
+            yield degree(game.weight, res), diff
+
+
+def _box_verdicts(game, report, radius=2):
+    """(formula on the box or None, inequality on the box)."""
+    g_min, g_max = report.extremes.g_min, report.extremes.g_max
+    pairs = list(_box_rank_differences(game, report.canonical, radius))
+    formula = all(diff == deg - report.g + 1 for deg, diff in pairs) if report.rr_property else None
+    inequality = all(deg - 3 * g_max + 2 * g_min + 1 <= diff <= deg - g_min + 1
+                     for deg, diff in pairs)
+    return formula, inequality
+
+
+WINDOW_CASES = [
+    ("ec(2)", chip_game(fixtures.ec(2))),
+    ("ec(3)", chip_game(fixtures.ec(3))),
+    ("ec(4)", chip_game(fixtures.ec(4))),
+    ("k4u", row_game(fixtures.k4u())),
+    ("p3", row_game(fixtures.p3())),
+    ("ex_b", chip_game(fixtures.ex_b())),
+    ("ex_c", chip_game(fixtures.ex_c())),
+]
+
+
+@pytest.mark.parametrize("name,game", WINDOW_CASES, ids=[n for n, _ in WINDOW_CASES])
+def test_window_checks_agree_with_the_box_sampler(name, game):
+    report = rr_verdict(game, 0)
+    assert report.reflection_invariant
+    formula = rr_formula_check(game, 0, report) if report.rr_property else None
+    inequality = canonical_inequality_check(game, 0, report)
+    assert (formula, inequality) == _box_verdicts(game, report)
+    assert formula is not False and inequality is True
+
+
+def test_window_checks_hold_on_star_5_3():
+    """5^16 points in a radius-2 box; 1,375 classes in the window."""
+    game = chip_game(fixtures.star(5, 3))
+    report = rr_verdict(game, 0)
+    assert report.rr_property and report.g == 6
+    assert rr_formula_check(game, 0, report)
+    assert canonical_inequality_check(game, 0, report)
+    with pytest.raises(BudgetExceeded, match="degree window 0..10 holds 1375 classes"):
+        rr_formula_check(game, 0, report, budget=1374)
+
+
+def test_window_checks_refute_a_wrong_canonical_or_genus():
+    """K + e_0 - e_1 has the canonical degree but not its class."""
+    game = row_game(fixtures.k4u())
+    report = rr_verdict(game, 0)
+    moved = tuple(k + (v == 0) - (v == 1) for v, k in enumerate(report.canonical))
+    assert not equivalent(game.lattice, moved, report.canonical)
+    wrong = dataclasses.replace(report, canonical=moved)
+    assert not rr_formula_check(game, 0, wrong)
+    assert not canonical_inequality_check(game, 0, wrong)
+    assert _box_verdicts(game, wrong) == (False, False)
+    for g in (report.g - 1, report.g + 1):
+        assert not rr_formula_check(game, 0, dataclasses.replace(report, g=g))
+
+
+def _wide_verdicts(game, report, canonical, margin=8):
+    """Both properties on every class of a window `margin` degrees wider on
+    each side than the checks' own, for a canonical moved anywhere."""
+    g_min, g_max = report.extremes.g_min, report.extremes.g_max
+    deg_k = degree(game.weight, canonical)
+    formula = True if report.rr_property else None
+    inequality = True
+    for d in range(min(0, deg_k - 2 * g_max + 2) - margin, max(2 * g_max - 2, deg_k) + margin + 1):
+        for res in _classes_of_degree(game, g_max, d):
+            diff = rank(game, 0, res) - rank(game, 0, tuple(a - b for a, b in zip(canonical, res)))
+            formula = formula and diff == d - report.g + 1
+            inequality = inequality and d - 3 * g_max + 2 * g_min + 1 <= diff <= d - g_min + 1
+    return formula, inequality
+
+
+MOVED_CASES = [
+    ("t3", row_game(fixtures.t3())),
+    ("p3", row_game(fixtures.p3())),
+    ("k4u", row_game(fixtures.k4u())),
+    ("ec(2)", chip_game(fixtures.ec(2))),
+    ("two_vertex(2,3)", chip_game(fixtures.two_vertex(2, 3))),
+    ("ex_c", chip_game(fixtures.ex_c())),
+]
+
+
+@pytest.mark.parametrize("name,game", MOVED_CASES, ids=[n for n, _ in MOVED_CASES])
+def test_window_checks_match_a_wider_window_for_any_canonical(name, game):
+    """Every class of degree deg K - 6 .. deg K + 6 as the canonical: the
+    checks' verdicts, with the condition on deg K, are those of a wider
+    window, so the closed forms outside it hold."""
+    report = rr_verdict(game, 0)
+    deg_k = degree(game.weight, report.canonical)
+    verdicts = set()
+    for d in range(deg_k - 6, deg_k + 7):
+        for canonical in _classes_of_degree(game, report.extremes.g_max, d):
+            moved = dataclasses.replace(report, canonical=canonical)
+            got = (
+                rr_formula_check(game, 0, moved) if report.rr_property else None,
+                canonical_inequality_check(game, 0, moved),
+            )
+            assert got == _wide_verdicts(game, report, canonical), canonical
+            verdicts.add(got[1])
+    assert verdicts == {True, False}
+
+
+def test_window_checks_reject_a_negative_budget():
+    game = chip_game(fixtures.ex_b())
+    report = rr_verdict(game, 0)
+    for check in (rr_formula_check, canonical_inequality_check):
+        with pytest.raises(ValueError, match="budget must be nonnegative, got -1"):
+            check(game, 0, report, budget=-1)
+
+
+def _doubled_weight(game):
+    return Game(game.firing_rows, game.period, tuple(2 * w for w in game.weight))
+
+
+CLASS_CASES = WINDOW_CASES[3:] + [
+    ("col(ex_b)", column_game(associated_digraph(fixtures.ex_b()))),
+    ("2w(ex_b)", _doubled_weight(chip_game(fixtures.ex_b()))),
+    ("uniform_only", chip_game(uniform_only())),
+]
+
+
+@pytest.mark.parametrize("name,game", CLASS_CASES, ids=[n for n, _ in CLASS_CASES])
+def test_classes_of_degree_are_every_class_once(name, game):
+    """Each attainable degree yields its classes-per-degree count of
+    distinct residues of that degree, whether the shift to a full table
+    degree adds chips or removes them; a full table degree holds as many."""
+    extremes = enumerate_extremes(game, 0)
+    step = gcd(*game.weight)
+    per_degree = _classes_per_degree(game)
+    assert len(_effective_classes_by_degree(game, extremes.g_max * step)) == per_degree
+    for d in range(-3 * step, extremes.g_max + 2 * max(game.weight), step):
+        classes = list(_classes_of_degree(game, extremes.g_max, d))
+        assert len(set(classes)) == len(classes) == per_degree, d
+        assert all(game.lattice.residue(c) == c and degree(game.weight, c) == d for c in classes)
 
 
 def test_canonical_degree_is_2g_minus_2():

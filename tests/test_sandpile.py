@@ -3,7 +3,7 @@ from math import prod
 
 import pytest
 
-from chipfire import fixtures
+from chipfire import fixtures, oracle
 from chipfire.arithmetical import associated_digraph, chip_game, digraph_natural_rr
 from chipfire.errors import NotSandpileForm, NotStable
 from chipfire.games import column_game, row_game
@@ -13,7 +13,6 @@ from chipfire.riemann_roch import rr_verdict
 from chipfire.sandpile import (
     dual_divisor,
     is_recurrent,
-    is_recurrent_oracle,
     is_stable,
     minimal_recurrents,
     natural_rr_via_sandpile,
@@ -104,7 +103,7 @@ def test_stable_output_and_fire_counts(name, game):
 @pytest.mark.parametrize("name,game", small_games())
 def test_recurrence_duality_matches_reachability_oracle(name, game):
     for d in sandpile_box(game, 0, slack=0, base_values=(0,)):
-        assert is_recurrent(game, 0, d) == is_recurrent_oracle(game, 0, d, 3), d
+        assert is_recurrent(game, 0, d) == oracle.is_recurrent_oracle(game, 0, d, 3), d
 
 
 def test_is_recurrent_requires_stability():
@@ -250,3 +249,19 @@ def test_digraph_natural_rr_matches_sandpile_route():
     for ag in (fixtures.ec(2), fixtures.ex_a()):
         direct = natural_rr_via_sandpile(rg(associated_digraph(ag)), 0)
         assert digraph_natural_rr(ag) == direct
+
+
+def test_natural_rr_via_sandpile_needs_an_extreme_not_only_sigma():
+    """On this column game at base 2 the one minimal recurrent (0, 2, 0),
+    shifted to the natural degree g - 1 = 1, is (-1, 1, 2): in Sigma, but
+    so is its bump (-1, 1, 3), so it is not extreme.  A bare Sigma test
+    would answer True."""
+    from chipfire.graph_core import build_digraph
+
+    game = column_game(build_digraph([(0, 1, 2), (1, 0, 2), (1, 2, 1), (2, 0, 2)]))
+    assert minimal_recurrents(game, 2) == [(0, 2, 0)]
+    shifted = (-1, 1, 2)
+    assert in_sigma(game, 2, shifted)
+    assert in_sigma(game, 2, (-1, 1, 3))
+    assert not is_extreme(game, 2, shifted)
+    assert natural_rr_via_sandpile(game, 2) is False
