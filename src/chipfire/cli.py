@@ -214,7 +214,7 @@ def cmd_oracle(args, game):
     budget = _budget(args)
     check_budget(count, budget, f"oracle {args.action} searches {count} strategies")
     if args.action == "rank":
-        _emit({"rank": oracle.rank_bruteforce(game, args.base, divisor, box=args.box)})
+        _emit({"rank_lower_bound": oracle.rank_bruteforce(game, args.base, divisor, box=args.box)})
     elif args.action == "effective":
         _emit({"effective": oracle.effective_bruteforce(game, divisor, args.box)})
     else:

@@ -1,6 +1,4 @@
-"""Divisor degrees, equivalence, natural form, and valid strategies."""
-
-from itertools import product
+"""Divisor degrees, equivalence, and natural form."""
 
 from .errors import DimensionError, ZeroStrategy
 
@@ -35,14 +33,3 @@ def natural_form(period, strategy):
         raise ZeroStrategy("natural form is undefined for the zero strategy")
     k = max(-(-f // s) for f, s in zip(strategy, period)) - 1
     return tuple(f - k * s for f, s in zip(strategy, period))
-
-
-def valid_strategies(game, base):
-    """All nonzero f with 0 <= f <= S and f[base] = 0, in lexicographic order."""
-    n = game.n_vertices
-    ranges = [
-        range(1) if v == base else range(game.period[v] + 1) for v in range(n)
-    ]
-    for f in product(*ranges):
-        if any(f):
-            yield f

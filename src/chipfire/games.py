@@ -111,9 +111,11 @@ class Game:
             raise InvalidBase(f"base {base} is not in range({self.n_vertices})")
 
     def check_divisor(self, divisor):
-        """Raise DimensionError unless the divisor has one entry per vertex."""
+        """Raise DimensionError unless one entry per vertex, ValueError unless each is an int."""
         if len(divisor) != self.n_vertices:
             raise DimensionError(f"divisor needs {self.n_vertices} entries, got {len(divisor)}")
+        if not all(type(x) is int for x in divisor):
+            raise ValueError(f"divisor entries must be integers (not bool), got {divisor!r}")
 
     def threshold(self, v):
         """Diagonal entry F[v][v]: chips lost at v when v fires once."""

@@ -1,12 +1,13 @@
 """Independent brute-force reference implementations for tiny instances."""
 
 from itertools import product
+from math import prod
 
-from .divisor_algebra import degree, degree_plus, valid_strategies
+from .divisor_algebra import degree, degree_plus
 from .errors import NotSandpileForm, NotStable
 from .rank_extremes import ExtremeClass, ExtremeClassSet, enumerate_extremes, in_sigma, is_extreme
-from .reduction import DEFAULT_BUDGET, all_reduced_representatives, check_sandpile_form
-from .reduction import is_reduced, reduce, stable_box
+from .reduction import DEFAULT_BUDGET, all_reduced_representatives, check_budget
+from .reduction import check_sandpile_form, is_reduced, reduce
 from .sandpile import is_stable, stabilize
 
 
@@ -65,6 +66,12 @@ def _exists_effective_of_degree(weight, target):
     return next(iter(_effective_of_degree(weight, target)), None) is not None
 
 
+def valid_strategies(game, base):
+    """All nonzero f with 0 <= f <= S and f[base] = 0, in lexicographic order."""
+    ranges = [range(1 if v == base else s + 1) for v, s in enumerate(game.period)]
+    return (f for f in product(*ranges) if any(f))
+
+
 def reduced_bruteforce(game, base, divisor):
     """Exhaustive reducedness check over all valid strategies: exact."""
     if any(d < 0 for v, d in enumerate(divisor) if v != base):
@@ -95,6 +102,20 @@ def gparking_subset_bruteforce(digraph, base, divisor):
         if not ok:
             return False
     return True
+
+
+def stable_box(game, base, budget):
+    """Every divisor with 0 <= D(v) < F[v][v] off the base and D(base) = 0.
+
+    Checks the base, then the budget (ValueError if negative) and that the box
+    size is within it, before yielding the first divisor.
+    """
+    game.check_base(base)
+    others = [v for v in range(game.n_vertices) if v != base]
+    total = prod(game.threshold(v) for v in others)
+    check_budget(total, budget, f"enumeration needs {total} candidates")
+    for combo in product(*[range(game.threshold(v)) for v in others]):
+        yield combo[:base] + (0,) + combo[base:]
 
 
 def extremes_bruteforce(game, base, budget=DEFAULT_BUDGET):

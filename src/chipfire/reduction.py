@@ -1,8 +1,6 @@
 """Base-vertex reduction: the generalized Dhar's algorithm and its consumers."""
 
 from dataclasses import dataclass
-from itertools import product
-from math import prod
 
 from .errors import BudgetExceeded, NotSandpileForm
 from . import games as _games
@@ -107,20 +105,6 @@ def check_budget(need, budget, reached):
         raise ValueError(f"budget must be nonnegative, got {budget}")
     if need > budget:
         raise BudgetExceeded(need, budget, reached)
-
-
-def stable_box(game, base, budget):
-    """Every divisor with 0 <= D(v) < F[v][v] off the base and D(base) = 0.
-
-    Checks the base, then the budget (ValueError if negative) and that the box
-    size is within it, before yielding the first divisor.
-    """
-    game.check_base(base)
-    others = [v for v in range(game.n_vertices) if v != base]
-    total = prod(game.threshold(v) for v in others)
-    check_budget(total, budget, f"enumeration needs {total} candidates")
-    for combo in product(*[range(game.threshold(v)) for v in others]):
-        yield combo[:base] + (0,) + combo[base:]
 
 
 def reduce(game, base, divisor):

@@ -266,8 +266,11 @@ def test_extremes_has_no_json_flag(capsys, two_vertex_file):
 
 
 def test_sandpile_minimal_budget_exceeded_exits_3(capsys, exa_file):
+    """The budget is checked before each Dhar run of the walk."""
     assert main(["sandpile", "minimal", exa_file, "--budget", "1"]) == 3
-    assert capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "the walk reached 2 Dhar runs, budget is 1" in captured.err
 
 
 def test_sandpile_minimal_checks_base_before_scanning(capsys, exa_file, monkeypatch):
@@ -277,7 +280,7 @@ def test_sandpile_minimal_checks_base_before_scanning(capsys, exa_file, monkeypa
     def no_scan(*args):
         raise AssertionError("scanned a candidate")
 
-    monkeypatch.setattr(sandpile, "is_recurrent", no_scan)
+    monkeypatch.setattr(sandpile, "is_reduced", no_scan)
     assert main(["sandpile", "minimal", exa_file, "--base", "7", "--budget", "1"]) == 2
     assert "base 7 is not in range(6)" in capsys.readouterr().err
 
@@ -329,7 +332,18 @@ def test_arith_star(capsys):
 def test_oracle_rank(capsys, t3_file):
     code, doc = run(capsys, ["oracle", "rank", t3_file, "--divisor", "0,0,0"])
     assert code == 0
-    assert doc["rank"] == 0
+    assert doc == {"rank_lower_bound": 0}
+
+
+def test_oracle_rank_reports_a_lower_bound(capsys, tmp_path):
+    """On k4u the box-3 effectivity search misses effective translates of
+    D - E, so the oracle's value is below the rank."""
+    path = tmp_path / "k4u.json"
+    arcs = [[i, j, 1] for i in range(4) for j in range(4) if i != j]
+    path.write_text(json.dumps({"type": "digraph", "vertices": 4, "arcs": arcs}))
+    argv = [str(path), "--divisor=8,8,8,8"]
+    assert run(capsys, ["oracle", "rank", *argv, "--box", "3"]) == (0, {"rank_lower_bound": 17})
+    assert run(capsys, ["rank", *argv]) == (0, {"rank": 29})
 
 
 def test_invalid_graph_exits_2(capsys, tmp_path):

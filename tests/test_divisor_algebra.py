@@ -4,13 +4,7 @@ from hypothesis import strategies as st
 
 from chipfire import fixtures
 from chipfire.arithmetical import chip_game
-from chipfire.divisor_algebra import (
-    degree,
-    degree_plus,
-    equivalent,
-    natural_form,
-    valid_strategies,
-)
+from chipfire.divisor_algebra import degree, degree_plus, equivalent, natural_form
 from chipfire.errors import DimensionError, ZeroStrategy
 from chipfire.games import row_game
 
@@ -65,12 +59,3 @@ def test_natural_form_window(strategy):
     assert all(d % s == 0 for d, s in diffs)
     ks = {d // s for d, s in diffs}
     assert len(ks) == 1
-
-
-def test_valid_strategies_lexicographic_and_complete():
-    game = chip_game(fixtures.two_vertex(2, 3))
-    got = list(valid_strategies(game, 0))
-    assert got == [(0, 1), (0, 2), (0, 3)]
-    game2 = row_game(fixtures.t3())
-    got2 = list(valid_strategies(game2, 0))
-    assert got2 == [(0, 0, 1), (0, 1, 0), (0, 1, 1)]

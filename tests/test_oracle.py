@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import pytest
 
 from chipfire import fixtures, oracle
@@ -44,3 +47,28 @@ def test_gparking_subset_bruteforce_on_k4u():
     g = fixtures.k4u()
     assert oracle.gparking_subset_bruteforce(g, 0, (0, 0, 1, 2))
     assert not oracle.gparking_subset_bruteforce(g, 0, (0, 3, 3, 3))
+
+
+def test_valid_strategies_lexicographic_and_complete():
+    game = chip_game(fixtures.two_vertex(2, 3))
+    got = list(oracle.valid_strategies(game, 0))
+    assert got == [(0, 1), (0, 2), (0, 3)]
+    game2 = row_game(fixtures.t3())
+    got2 = list(oracle.valid_strategies(game2, 0))
+    assert got2 == [(0, 0, 1), (0, 1, 0), (0, 1, 1)]
+
+
+def test_only_the_oracles_import_itertools_product():
+    """Box walks are the oracles' business: no other module under
+    src/chipfire imports itertools.product."""
+    package = Path(oracle.__file__).parent
+    importers = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "itertools":
+                if any(alias.name == "product" for alias in node.names):
+                    importers.add(path.name)
+            elif isinstance(node, ast.Attribute) and node.attr == "product":
+                if isinstance(node.value, ast.Name) and node.value.id == "itertools":
+                    importers.add(path.name)
+    assert importers == {"oracle.py"}

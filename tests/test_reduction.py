@@ -90,6 +90,18 @@ def test_entry_points_reject_a_divisor_of_the_wrong_length(entry, extra):
         entry(game, 0, (1,) * (game.n_vertices + extra))
 
 
+@pytest.mark.parametrize("entry", [reduce, dhar, is_reduced, stabilize, is_recurrent, rank,
+                                   is_stable, dual_divisor_at],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("value", [1.5, 0.5, True], ids=["1.5", "0.5", "True"])
+def test_entry_points_reject_an_entry_that_is_not_an_int(entry, value):
+    """reduce once returned (1.5, 0, 0, 0) as reduced, and rank gave 0 for
+    (0.5, 0, 0, 0) and (True, 0, 0, 0)."""
+    game = row_game(fixtures.k4u())
+    with pytest.raises(ValueError, match="divisor entries must be integers"):
+        entry(game, 0, (value, 0, 0, 0))
+
+
 @pytest.mark.parametrize("name,game", small_games())
 def test_dhar_witnesses_are_the_reduced_representatives(name, game):
     r0 = game.period[0]

@@ -3,12 +3,14 @@ from math import prod
 
 import pytest
 
-from chipfire import fixtures, oracle
+from chipfire import fixtures, oracle, sandpile
 from chipfire.arithmetical import associated_digraph, chip_game, digraph_natural_rr
-from chipfire.errors import NotSandpileForm, NotStable
+from chipfire.errors import BudgetExceeded, NotSandpileForm, NotStable
+from chipfire.divisor_algebra import equivalent
 from chipfire.games import column_game, row_game
 from chipfire.rank_extremes import in_sigma, is_extreme
-from chipfire.reduction import all_reduced_representatives, stable_box
+from chipfire.oracle import stable_box
+from chipfire.reduction import all_reduced_representatives, is_reduced
 from chipfire.riemann_roch import rr_verdict
 from chipfire.sandpile import (
     dual_divisor,
@@ -195,6 +197,45 @@ def test_minimal_recurrents_of_col_exb_match_pairwise_reference():
     assert minimal_recurrents(game, 0) == pairwise_minimal_recurrents(game, 0)
 
 
+def test_minimal_recurrents_run_fewer_dhar_tests_than_the_box(monkeypatch):
+    """On every case the pairwise reference covers, the walk's Dhar runs
+    stay below the stable box; the budget bounds exactly those runs."""
+    runs = [0]
+
+    def counting(game, base, divisor):
+        runs[0] += 1
+        return is_reduced(game, base, divisor)
+
+    monkeypatch.setattr(sandpile, "is_reduced", counting)
+    col_exb = column_game(associated_digraph(fixtures.ex_b()))
+    cases = [(game, base) for _, game in minimal_recurrent_games()
+             for base in range(game.n_vertices)] + [(col_exb, 0)]
+    for game, base in cases:
+        runs[0] = 0
+        minimal_recurrents(game, base)
+        box = prod(game.threshold(v) for v in range(game.n_vertices) if v != base)
+        assert runs[0] < box, (game, base)
+    needed = runs[0]
+    assert minimal_recurrents(col_exb, 0, budget=needed) == minimal_recurrents(col_exb, 0)
+    with pytest.raises(BudgetExceeded) as info:
+        minimal_recurrents(col_exb, 0, budget=needed - 1)
+    assert (info.value.count, info.value.budget) == (needed, needed - 1)
+
+
+def test_minimal_recurrents_of_star_5_4_past_the_box():
+    """The stable box holds 2^20 configurations; the walk meets the 3,125
+    reduced ones and returns the 1,024 minimal recurrents."""
+    game = chip_game(fixtures.star(5, 4))
+    mins = minimal_recurrents(game, 0)
+    assert len(mins) == 1024
+    assert prod(game.threshold(v) for v in range(1, game.n_vertices)) == 2**20
+    for m in mins:
+        assert is_recurrent(game, 0, m)
+        for v in range(1, game.n_vertices):
+            if m[v]:
+                assert not is_recurrent(game, 0, m[:v] + (m[v] - 1,) + m[v + 1:]), (m, v)
+
+
 def per_vertex_extreme(game, base, divisor):
     """Reference: the sandpile form of the extreme test.  D lies in Sigma and
     for every vertex v some v-reduced representative has value -1 at v."""
@@ -240,6 +281,47 @@ def test_natural_rr_via_sandpile_agrees_on_unit_weight_games():
     for g in digraphs:
         game = row_game(g)
         assert natural_rr_via_sandpile(game, 0) == rr_verdict(game, 0).natural_rr
+
+
+def test_natural_rr_via_sandpile_agrees_only_where_s_base_is_one():
+    """Row games of associated digraphs, all of natural Riemann-Roch: the
+    route agrees with the verdict at every base with S[base] = 1 and answers
+    False at every base with S[base] > 1."""
+    for ag in (fixtures.star(3, 1), fixtures.star(3, 2), fixtures.star(4, 1), fixtures.ec(2)):
+        game = row_game(associated_digraph(ag))
+        for base in range(game.n_vertices):
+            assert rr_verdict(game, base).natural_rr, (ag, base)
+            assert natural_rr_via_sandpile(game, base) == (game.period[base] == 1), (ag, base)
+
+
+def test_sandpile_route_differs_from_the_verdict_on_star_3_1_where_s_base_is_3():
+    """Row game of star(3,1)'s associated digraph, base 0, S = (3, 1, 1, 1):
+    the one minimal recurrent 0, shifted to the natural degree g - 1 = 2, is
+    (5, -1, -1, -1), which is effective, so the route answers False.  The
+    verdict finds natural Riemann-Roch: K = (-2, 2, 2, 2) ~ (1, 1, 1, 1)."""
+    game = row_game(associated_digraph(fixtures.star(3, 1)))
+    assert game.period == (3, 1, 1, 1)
+    assert minimal_recurrents(game, 0) == [(0, 0, 0, 0)]
+    assert not in_sigma(game, 0, (5, -1, -1, -1))
+    assert natural_rr_via_sandpile(game, 0) is False
+    report = rr_verdict(game, 0)
+    assert report.natural_rr and report.canonical == (-2, 2, 2, 2)
+    assert equivalent(game.lattice, report.canonical, (1, 1, 1, 1))
+
+
+def test_sandpile_route_differs_from_the_verdict_on_star_5_2_where_s_base_is_1():
+    """Row game of star(5,2)'s associated digraph at base 2, S[2] = 1 and a
+    stable box of 1,244,160: among the 36 minimal recurrents is
+    (5, 4, 0, 2, 0, 4, 0, 4, 0, 4, 1), whose shift to the natural degree
+    g - 1 = 14 is effective, so the route answers False; the chip verdict of
+    star(5,2), which the row game carries, has natural Riemann-Roch."""
+    game = row_game(associated_digraph(fixtures.star(5, 2)))
+    assert game.period[2] == 1
+    mins = minimal_recurrents(game, 2)
+    assert len(mins) == 36 and (5, 4, 0, 2, 0, 4, 0, 4, 0, 4, 1) in mins
+    assert not in_sigma(game, 2, (4, 3, 0, 1, -1, 3, -1, 3, -1, 3, 0))
+    assert natural_rr_via_sandpile(game, 2) is False
+    assert digraph_natural_rr(fixtures.star(5, 2))
 
 
 def test_digraph_natural_rr_matches_sandpile_route():
