@@ -1,6 +1,6 @@
 """Arithmetical graphs: validation, the chip game, Euclidean stars, staircases."""
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import permutations
 from math import gcd
 
@@ -13,13 +13,11 @@ from .reduction import DEFAULT_BUDGET
 from .riemann_roch import rr_verdict
 
 
-@dataclass(frozen=True)
-class ArithmeticalGraph:
+class ArithmeticalGraph(namedtuple("ArithmeticalGraph", "adjacency multiplicities deltas")):
     """Undirected multigraph with multiplicities R satisfying (diag(delta) - A) R = 0."""
 
-    adjacency: tuple  # symmetric multiplicity matrix, no loops
-    multiplicities: tuple
-    deltas: tuple
+    # adjacency: symmetric multiplicity matrix, no loops
+    __slots__ = ()
 
     @property
     def n_vertices(self):
@@ -114,12 +112,11 @@ def digraph_natural_rr(ag, base=0, budget=DEFAULT_BUDGET):
     return rr_verdict(chip_game(ag), base, budget=budget).natural_rr
 
 
-@dataclass(frozen=True)
-class EuclideanSequence:
+class EuclideanSequence(namedtuple("EuclideanSequence", "values deltas")):
     """Strictly decreasing r_0 > r_1 > ... > r_m with r_{i+1} = delta_i r_i - r_{i-1}."""
 
-    values: tuple
-    deltas: tuple  # interior deltas delta_1 ... delta_{m-1}
+    # deltas: interior deltas delta_1 ... delta_{m-1}
+    __slots__ = ()
 
     @property
     def chain_deltas(self):
@@ -144,9 +141,9 @@ def euclidean_sequence(r0, r1):
     return EuclideanSequence(values=tuple(values), deltas=tuple(deltas))
 
 
-@dataclass(frozen=True)
-class GoodRepresentation:
-    coefficients: tuple  # t_1 ... t_m with 0 <= t_i <= delta_i - 1
+class GoodRepresentation(namedtuple("GoodRepresentation", "coefficients")):
+    # coefficients: t_1 ... t_m with 0 <= t_i <= delta_i - 1
+    __slots__ = ()
 
 
 def good_representation(r0, r1, x):

@@ -12,7 +12,7 @@ import os
 import sys
 from math import prod
 
-from . import arithmetical, fixtures, oracle, rank_extremes, reduction, riemann_roch, sandpile
+from . import arithmetical, rank_extremes, reduction, riemann_roch, sandpile
 from .arithmetical import ArithmeticalGraph, chip_game
 from .errors import BudgetExceeded, ChipfireError
 from .games import column_game, row_game
@@ -183,7 +183,7 @@ def cmd_arith(args, graph):
         if n * n <= budget:
             n = 1 + r0 * (len(arithmetical.euclidean_sequence(r0, r1).values) - 1)
         check_budget(n * n, budget, f"star({r0},{r1}) needs a {n} x {n} matrix")
-        _emit(_arith_summary(fixtures.star(r0, r1)))
+        _emit(_arith_summary(arithmetical.euclidean_star(r0, r1)))
         return 0
     if not isinstance(graph, ArithmeticalGraph):
         raise ChipfireError("this subcommand needs an arithmetical graph")
@@ -204,6 +204,8 @@ def cmd_arith(args, graph):
 
 
 def cmd_oracle(args, game):
+    from . import oracle  # here, not at the top: no other request pays for its import
+
     if args.box < 0:
         raise ChipfireError(f"--box must be nonnegative, got {args.box}")
     divisor = _divisor(args, game)

@@ -49,9 +49,10 @@ class _built_once:
 class Game:
     """Immutable chip-firing game; carries its equivalence lattice and caches.
 
-    Every firing row has a positive diagonal entry and no positive entry off
-    it: firing a vertex sends chips only outward.  The bulk steps of Dhar's
-    algorithm and of stabilization rely on this.
+    Every entry is an ``int``.  Every firing row has a positive diagonal
+    entry and no positive entry off it: firing a vertex sends chips only
+    outward.  The bulk steps of Dhar's algorithm and of stabilization rely
+    on this.
 
     With a positive period S and weight w, the rows form a singular M-matrix
     with positive left and right kernel vectors.  Such a matrix has corank 1
@@ -67,22 +68,22 @@ class Game:
             raise DimensionError("game components must have matching dimensions")
         self.firing_rows = tuple(tuple(r) for r in firing_rows)
         if any(
-            (x <= 0) if i == j else (x > 0)
+            type(x) is not int or ((x <= 0) if i == j else (x > 0))
             for i, row in enumerate(self.firing_rows)
             for j, x in enumerate(row)
         ):
             raise ValueError(
-                "firing rows need a positive diagonal and off-diagonal entries <= 0"
+                "firing rows need integer entries, a positive diagonal and off-diagonal entries <= 0"
             )
         self.period = tuple(period)
         self.weight = tuple(weight)
         self.n_vertices = n
+        if any(type(x) is not int or x <= 0 for x in self.period + self.weight):
+            raise ValueError("period and weight must be positive integers (not bool)")
         if any(sum(map(mul, self.period, col)) for col in zip(*self.firing_rows)):
             raise ValueError("period is not a strategy period: S^T F != 0")
         if any(sum(map(mul, row, self.weight)) for row in self.firing_rows):
             raise ValueError("weight is not conserved: F w != 0")
-        if any(s <= 0 for s in self.period) or any(x <= 0 for x in self.weight):
-            raise ValueError("period and weight must be positive")
         if not pattern_strongly_connected(self.firing_rows):
             raise ValueError("firing lattice must have corank 1")
         self.sigma_cache = {}

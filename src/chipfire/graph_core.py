@@ -24,8 +24,8 @@ class DirectedMultigraph:
             raise InvalidGraph("arc matrix must be square")
         if any(arcs[i][i] != 0 for i in range(n)):
             raise InvalidGraph("loop arcs are not allowed")
-        if any(m < 0 for row in arcs for m in row):
-            raise InvalidGraph("arc multiplicities must be nonnegative")
+        if any(type(m) is not int or m < 0 for row in arcs for m in row):
+            raise InvalidGraph("arc multiplicities must be nonnegative integers (not bool)")
         if not any(m for row in arcs for m in row):
             raise InvalidGraph("graph must have at least one arc")
         self.arcs = tuple(tuple(row) for row in arcs)
@@ -52,6 +52,8 @@ def build_digraph(arc_list, n_vertices=None):
         n_vertices = 1 + max(max(t, h) for t, h, _ in arc_list)
     arcs = [[0] * n_vertices for _ in range(n_vertices)]
     for tail, head, mult in arc_list:
+        if {type(tail), type(head), type(mult)} != {int}:
+            raise InvalidGraph(f"arc ({tail},{head},{mult}) needs integer entries (not bool)")
         if not (0 <= tail < n_vertices and 0 <= head < n_vertices):
             raise InvalidGraph(f"arc ({tail},{head}) out of range")
         if tail == head:

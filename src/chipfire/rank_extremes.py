@@ -1,27 +1,21 @@
 """The Sigma region, the rank function, and extreme divisor classes."""
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd, prod
 
 from .divisor_algebra import degree
 from .reduction import DEFAULT_BUDGET, all_reduced_representatives, check_budget, is_effective_class
 
 
-@dataclass(frozen=True)
-class ExtremeClass:
+class ExtremeClass(namedtuple("ExtremeClass", "rep degree all_reps")):
     """One extreme class: the least reduced representative with -1 at the
     base, the weighted degree, and all reduced representatives."""
 
-    rep: tuple
-    degree: int
-    all_reps: tuple
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ExtremeClassSet:
-    classes: tuple
-    g_min: int
-    g_max: int
+class ExtremeClassSet(namedtuple("ExtremeClassSet", "classes g_min g_max")):
+    __slots__ = ()
 
     @property
     def uniform(self):

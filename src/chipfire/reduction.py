@@ -1,13 +1,12 @@
 """Base-vertex reduction: the generalized Dhar's algorithm and its consumers."""
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import BudgetExceeded, NotSandpileForm
 from . import games as _games
 
 
-@dataclass(frozen=True)
-class DharTrace:
+class DharTrace(namedtuple("DharTrace", "steps terminal reduced_witnesses")):
     """Record of one run of the generalized Dhar's algorithm.
 
     steps: ordered (strategy after the step, decremented vertex) pairs, one
@@ -18,9 +17,7 @@ class DharTrace:
     these are reduced divisors equivalent to D.
     """
 
-    steps: tuple
-    terminal: tuple
-    reduced_witnesses: tuple
+    __slots__ = ()
 
 
 def check_sandpile_form(game, base, divisor):

@@ -1,6 +1,6 @@
 """Uniformity, reflection invariance, the Riemann-Roch verdict, and scaling."""
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
@@ -11,19 +11,13 @@ from .rank_extremes import _classes_of_degree, _classes_per_degree, enumerate_ex
 from .reduction import DEFAULT_BUDGET, all_reduced_representatives, check_budget
 
 
-@dataclass(frozen=True)
-class RRReport:
-    """Verdict record for one lattice."""
+class RRReport(namedtuple("RRReport", "extremes uniform reflection_invariant rr_property"
+                          " canonical natural_rr g reflection_witness pairing")):
+    """Verdict record for one lattice.  ``canonical``, ``reflection_witness``
+    and ``pairing`` are None unless it is reflection invariant, ``g`` unless
+    it is uniform."""
 
-    extremes: object
-    uniform: bool
-    reflection_invariant: bool
-    rr_property: bool
-    canonical: tuple | None
-    natural_rr: bool
-    g: int | None
-    reflection_witness: tuple | None
-    pairing: tuple | None
+    __slots__ = ()
 
 
 def project(weight, point):

@@ -122,6 +122,30 @@ def bumped(v):
     return (v[0] + 1,) + tuple(v[1:])
 
 
+def _cycle_game_parts():
+    """Firing rows, period and weight of the row game of the 3-cycle."""
+    return [[1, -1, 0], [0, 1, -1], [-1, 0, 1]], [1, 1, 1], [1, 1, 1]
+
+
+@pytest.mark.parametrize("kind", [float, bool])
+@pytest.mark.parametrize("part,index,message", [
+    ("rows", (0, 0), "firing rows need integer entries"),
+    ("rows", (0, 2), "firing rows need integer entries"),
+    ("period", (0,), "period and weight must be positive integers"),
+    ("weight", (0,), "period and weight must be positive integers"),
+], ids=["diagonal", "off-diagonal", "period", "weight"])
+def test_an_entry_that_is_not_an_int_is_rejected(part, index, message, kind):
+    """One entry of a valid game replaced by the float or bool equal to it."""
+    Game(*_cycle_game_parts())
+    rows, period, weight = parts = _cycle_game_parts()
+    target = {"rows": rows, "period": period, "weight": weight}[part]
+    if len(index) == 2:
+        target = target[index[0]]
+    target[index[-1]] = kind(target[index[-1]])
+    with pytest.raises(ValueError, match=message):
+        Game(*parts)
+
+
 @pytest.mark.parametrize("game", [chip_game(fixtures.ex_b()), row_game(fixtures.k4u())],
                          ids=["chip(ex_b)", "row(k4u)"])
 def test_earlier_checks_keep_their_messages(game):

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from chipfire import fixtures
 from chipfire.errors import InvalidGraph, NotStronglyConnected
+from chipfire.games import row_game
 from chipfire.graph_core import (
+    DirectedMultigraph,
     LatticeHandle,
     build_digraph,
     is_strongly_connected,
@@ -25,6 +27,21 @@ def test_build_digraph_rejects_loops():
 def test_build_digraph_rejects_single_vertex():
     with pytest.raises(InvalidGraph):
         build_digraph([], n_vertices=1)
+
+
+@pytest.mark.parametrize("arc", [(0, 1, 1.5), (0, 1, 1.0), (0, 1, True), (0, True, 1), (0.0, 1, 1)])
+def test_build_digraph_rejects_an_arc_entry_that_is_not_an_int(arc):
+    """A float multiplicity used to pass and make row_game raise a bare
+    TypeError; True used to count as one arc."""
+    with pytest.raises(InvalidGraph, match="needs integer entries"):
+        build_digraph([arc, (1, 0, 1)])
+
+
+@pytest.mark.parametrize("m", [1.5, 1.0, True])
+def test_multigraph_rejects_a_multiplicity_that_is_not_an_int(m):
+    with pytest.raises(InvalidGraph, match="nonnegative integers"):
+        DirectedMultigraph([[0, m], [1, 0]])
+    assert row_game(DirectedMultigraph([[0, 1], [1, 0]])).period == (1, 1)
 
 
 def test_strong_connectivity():

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 from itertools import product
@@ -6,7 +5,7 @@ from math import gcd
 
 import pytest
 
-from chipfire import fixtures, oracle
+from chipfire import fixtures, oracle, riemann_roch
 from chipfire.arithmetical import associated_digraph, chip_game
 from chipfire.divisor_algebra import degree, equivalent
 from chipfire.errors import BudgetExceeded, DimensionError
@@ -224,6 +223,28 @@ def test_exc_canonical_inequality():
     assert canonical_inequality_check(game, 0, report)
 
 
+def test_inequality_window_reaches_below_0_and_above_2t(monkeypatch):
+    """On ex_c, 2T = 22 while deg K = 21, and a canonical moved to a class of
+    degree 24 lies past 2T: the check asks for the classes of every degree
+    of [min(0, deg K - 2T), max(2T, deg K)], not only of [0, 2T].  With no
+    classes handed back every degree is reached, whatever the ranks say."""
+    game = chip_game(fixtures.ex_c())
+    report = rr_verdict(game, 0)
+    g_max = report.extremes.g_max
+    top = 2 * g_max - 2
+    moved = next(_classes_of_degree(game, g_max, 24))
+    asked = []
+    monkeypatch.setattr(
+        riemann_roch, "_classes_of_degree", lambda game, g_max, d: asked.append(d) or ()
+    )
+    for canonical, window in ((report.canonical, range(-1, 23)), (moved, range(0, 25))):
+        deg_k = degree(game.weight, canonical)
+        assert range(min(0, deg_k - top), max(top, deg_k) + 1, gcd(*game.weight)) == window
+        asked.clear()
+        assert canonical_inequality_check(game, 0, report._replace(canonical=canonical))
+        assert asked == list(window)
+
+
 def _box_rank_differences(game, canonical, radius):
     """The sampler the window replaced: (deg D, r(D) - r(K - D)) for one D
     per lattice residue in the (2 radius + 1)^n box, at base 0."""
@@ -284,12 +305,12 @@ def test_window_checks_refute_a_wrong_canonical_or_genus():
     report = rr_verdict(game, 0)
     moved = tuple(k + (v == 0) - (v == 1) for v, k in enumerate(report.canonical))
     assert not equivalent(game.lattice, moved, report.canonical)
-    wrong = dataclasses.replace(report, canonical=moved)
+    wrong = report._replace(canonical=moved)
     assert not rr_formula_check(game, 0, wrong)
     assert not canonical_inequality_check(game, 0, wrong)
     assert _box_verdicts(game, wrong) == (False, False)
     for g in (report.g - 1, report.g + 1):
-        assert not rr_formula_check(game, 0, dataclasses.replace(report, g=g))
+        assert not rr_formula_check(game, 0, report._replace(g=g))
 
 
 def _wide_verdicts(game, report, canonical, margin=8):
@@ -327,7 +348,7 @@ def test_window_checks_match_a_wider_window_for_any_canonical(name, game):
     verdicts = set()
     for d in range(deg_k - 6, deg_k + 7):
         for canonical in _classes_of_degree(game, report.extremes.g_max, d):
-            moved = dataclasses.replace(report, canonical=canonical)
+            moved = report._replace(canonical=canonical)
             got = (
                 rr_formula_check(game, 0, moved) if report.rr_property else None,
                 canonical_inequality_check(game, 0, moved),
