@@ -39,14 +39,14 @@ def validate_arithmetical(adjacency, multiplicities):
     n = len(adjacency)
     if n < 2:
         raise InvalidGraph("need at least two vertices")
-    if any(len(row) != n for row in adjacency):
-        raise InvalidGraph("adjacency matrix must be square")
+    if any(len(row) != n or any(type(a) is not int for a in row) for row in adjacency):
+        raise InvalidGraph("adjacency matrix must be square, with int entries (not bool)")
     if any(adjacency[i][j] != adjacency[j][i] for i in range(n) for j in range(n)):
         raise InvalidGraph("adjacency matrix must be symmetric")
     if any(adjacency[i][i] != 0 for i in range(n)):
         raise InvalidGraph("loop edges are not allowed")
-    if len(multiplicities) != n or any(r < 1 for r in multiplicities):
-        raise InvalidGraph("multiplicities must be positive")
+    if len(multiplicities) != n or any(type(r) is not int or r < 1 for r in multiplicities):
+        raise InvalidGraph("multiplicities must be positive integers (not bool)")
     if len(reachable(adjacency, 0)) != n:
         raise InvalidGraph("base graph must be connected")
     if gcd(*multiplicities) != 1:

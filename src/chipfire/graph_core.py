@@ -121,67 +121,46 @@ def _transposed_lattice(g):
 class LatticeHandle:
     """Integer lattice given by generator rows, with exact membership queries.
 
-    A canonical upper-triangular (Hermite-style) basis is computed once; each
-    membership query is a single back-substitution pass.
+    The reduced Hermite basis is computed once; each membership query is a
+    single back-substitution pass.
     """
 
     def __init__(self, generators):
         if not generators:
             raise ValueError("need at least one generator")
         self.dim = len(generators[0])
-        # pivots: list of (column, row) with strictly increasing columns,
-        # row[column] > 0 and zeros left of the pivot column.
+        if any(len(gen) != self.dim for gen in generators):
+            raise ValueError("generators must all have the same length")
+        # pivots: (column, row) with strictly increasing columns, row[column]
+        # > 0, zeros left of the pivot and entries above it in [0, pivot).
+        # One pass, column by column: Euclid steps among the rows nonzero
+        # there leave one pivot row, and rows reduced to 0 there stay pooled.
+        pool = [list(gen) for gen in generators]
         pivots = []
-        for gen in generators:
-            self._insert(pivots, list(gen))
-        self._normalize(pivots)
+        for col in range(self.dim):
+            live = [row for row in pool if row[col]]
+            if not live:
+                continue
+            pool = [row for row in pool if not row[col]]
+            while len(live) > 1:
+                least = min(live, key=lambda row: abs(row[col]))
+                rest = []
+                for row in live:
+                    if row is not least:
+                        q = row[col] // least[col]
+                        row = [x - q * y for x, y in zip(row, least)]
+                        (rest if row[col] else pool).append(row)
+                live = rest + [least]
+            row = live[0] if live[0][col] > 0 else [-x for x in live[0]]
+            for j, (c, upper) in enumerate(pivots):
+                q = upper[col] // row[col]
+                if q:
+                    pivots[j] = (c, [x - q * y for x, y in zip(upper, row)])
+            pivots.append((col, row))
         self.pivots = tuple((c, tuple(r)) for c, r in pivots)
         self.rank = len(pivots)
         # Column v -> the pivots from column v on; a free column has none.
         self._pivots_from = {c: self.pivots[i:] for i, (c, _) in enumerate(self.pivots)}
-
-    @staticmethod
-    def _insert(pivots, row):
-        while True:
-            col = next((c for c, x in enumerate(row) if x != 0), None)
-            if col is None:
-                return
-            match = next((i for i, (c, _) in enumerate(pivots) if c == col), None)
-            if match is None:
-                if row[col] < 0:
-                    row = [-x for x in row]
-                pos = next(
-                    (i for i, (c, _) in enumerate(pivots) if c > col), len(pivots)
-                )
-                pivots.insert(pos, (col, row))
-                return
-            _, base = pivots[match]
-            a, b = base[col], row[col]
-            if b % a == 0:
-                q = b // a
-                row = [x - q * y for x, y in zip(row, base)]
-            else:
-                # Extended gcd: replace the pivot row with the gcd combination
-                # and continue reducing the remainder.
-                g, s, t = _xgcd(a, b)
-                new_base = [s * x + t * y for x, y in zip(base, row)]
-                new_row = [(a // g) * y - (b // g) * x for x, y in zip(base, row)]
-                pivots[match] = (col, new_base)
-                row = new_row
-
-    @staticmethod
-    def _normalize(pivots):
-        # Reduce entries above each pivot so the basis is canonical.
-        for i, (col, row) in enumerate(pivots):
-            for j in range(i):
-                _, upper = pivots[j]
-                if upper[col] != 0:
-                    q = upper[col] // row[col]
-                    if q:
-                        pivots[j] = (
-                            pivots[j][0],
-                            [x - q * y for x, y in zip(upper, row)],
-                        )
 
     def contains(self, x):
         """True iff x (int or Fraction entries) is an integer combination of generators."""
@@ -248,18 +227,3 @@ class LatticeHandle:
 
     def __hash__(self):
         return hash(self.pivots)
-
-
-def _xgcd(a, b):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-

@@ -25,8 +25,11 @@ class ExtremeClassSet(namedtuple("ExtremeClassSet", "classes g_min g_max")):
 def in_sigma(game, base, divisor):
     """True iff the divisor is not equivalent to an effective divisor.
 
-    Memoized per equivalence class (keyed by the lattice residue).
+    Memoized per equivalence class (keyed by the lattice residue), after the
+    base and the divisor are checked.
     """
+    game.check_base(base)
+    game.check_divisor(divisor)
     if degree(game.weight, divisor) < 0:
         return True
     key = game.lattice.residue(divisor)

@@ -61,6 +61,20 @@ def test_validate_rejects_asymmetric_adjacency():
         validate_arithmetical([[0, 1], [2, 0]], (1, 1))
 
 
+@pytest.mark.parametrize("adjacency,multiplicities", [
+    ([[0, 1.0], [1.0, 0]], (1, 1)),
+    ([[0, 1], [1, 0]], (True, 1)),
+    ([[0, 1], [1, 0]], (1.0, 1)),
+], ids=["float-adjacency", "bool-multiplicity", "float-multiplicity"])
+def test_validate_rejects_entries_that_are_not_ints(adjacency, multiplicities):
+    """Float adjacency once gave float deltas (and g0 of 0.0), a bool
+    multiplicity passed, and a float one raised a bare TypeError from gcd."""
+    from chipfire.errors import InvalidGraph
+
+    with pytest.raises(InvalidGraph, match="not bool"):
+        validate_arithmetical(adjacency, multiplicities)
+
+
 def test_validate_rejects_disconnected_base_graph():
     from chipfire.errors import InvalidGraph
 

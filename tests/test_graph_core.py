@@ -1,5 +1,11 @@
+import importlib
+import json
+import os
 import random
-from math import gcd
+import subprocess
+import sys
+from math import gcd, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -122,6 +128,40 @@ def test_kernel_requires_corank_one(gens):
         LatticeHandle(gens).kernel()
 
 
+def test_lattice_rejects_generators_of_unequal_length():
+    """zip once truncated the longer row, and the short row reduced to zero."""
+    with pytest.raises(ValueError, match="same length"):
+        LatticeHandle([(1, 2, 3), (1, 2)])
+
+
+def test_period_vector_of_a_24_vertex_digraph_returns():
+    """Run in a subprocess with a timeout: inserting generators one at a time
+    with extended-gcd steps blew the entries up, and this took 28 s.  The
+    graph is the 11th seeded draw; its R has entries up to 113 bits."""
+    rng = random.Random(1)
+    for _ in range(11):
+        arcs = [(i, j, rng.randint(1, 9)) for i in range(24) for j in range(24)
+                if i != j and rng.random() < 0.25]
+    g = build_digraph(arcs, n_vertices=24)
+    assert len(arcs) == 156 and is_strongly_connected(g)
+    package_root = Path(importlib.import_module("chipfire").__file__).resolve().parents[1]
+    script = (
+        "import json, sys\n"
+        "from chipfire.graph_core import build_digraph, period_vector\n"
+        "print(json.dumps(period_vector(build_digraph(json.load(sys.stdin), n_vertices=24))))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script], input=json.dumps(arcs),
+        capture_output=True, text=True, timeout=10,
+        env=dict(os.environ, PYTHONPATH=str(package_root)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    r = json.loads(proc.stdout)
+    q = laplacian(g)
+    assert all(v > 0 for v in r) and gcd(*r) == 1
+    assert all(sum(r[i] * q[i][j] for i in range(24)) == 0 for j in range(24))
+
+
 def test_kernel_is_primitive_with_positive_free_coordinate():
     # Rows (2, 3, 0) and (0, 2, -1): the kernel is spanned by (-3, 2, 4).
     assert LatticeHandle([(2, 3, 0), (0, 2, -1)]).kernel() == (-3, 2, 4)
@@ -139,6 +179,34 @@ GENS = st.lists(
     min_size=1,
     max_size=3,
 )
+
+
+@given(GENS)
+@settings(max_examples=200, deadline=None)
+def test_lattice_basis_is_in_reduced_hermite_form(gens):
+    pivots = LatticeHandle(gens).pivots
+    cols = [c for c, _ in pivots]
+    assert cols == sorted(set(cols))
+    for i, (col, row) in enumerate(pivots):
+        assert row[col] > 0
+        assert not any(row[:col])
+        assert all(0 <= upper[col] < row[col] for _, upper in pivots[:i])
+
+
+def _det3(m):
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+@given(st.lists(st.lists(st.integers(-4, 4), min_size=3, max_size=3),
+                min_size=3, max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_full_rank_basis_has_pivot_product_the_determinant(gens):
+    """The containment test puts the generated lattice inside the basis's;
+    equal indices, |det| and the pivot product, make the two equal."""
+    det = _det3(gens)
+    if det:
+        assert prod(row[col] for col, row in LatticeHandle(gens).pivots) == abs(det)
 
 
 @given(GENS, st.lists(st.integers(-3, 3), min_size=3, max_size=3))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from chipfire import fixtures, oracle
 from chipfire.arithmetical import associated_digraph, chip_game
 from chipfire.divisor_algebra import degree
+from chipfire.errors import InvalidBase
 from chipfire.games import column_game, row_game
 from chipfire.rank_extremes import (
     _effective_classes_by_degree,
@@ -48,6 +49,22 @@ def test_rank_agrees_with_bruteforce_and_extremes(name, game):
 def test_in_sigma_consistency(name, game):
     for d in divisor_box(game.n_vertices, 2):
         assert in_sigma(game, 0, d) == (not is_effective_class(game, 0, d)), d
+
+
+def test_in_sigma_checks_its_input_before_its_cache():
+    """A cached class once answered False for an out-of-range base and for
+    float entries, where an uncached one raised InvalidBase."""
+    game = chip_game(fixtures.ex_b())
+    zero = (0,) * 6
+    assert in_sigma(game, 0, zero) is False
+    with pytest.raises(InvalidBase):
+        in_sigma(game, 99, zero)
+    with pytest.raises(ValueError, match="must be integers"):
+        in_sigma(game, 0, (0.0,) * 6)
+    with pytest.raises(InvalidBase):
+        is_extreme(game, 99, zero)
+    with pytest.raises(InvalidBase):
+        in_sigma(chip_game(fixtures.ex_b()), 99, zero)
 
 
 GAME = chip_game(fixtures.ec(2))
