@@ -39,8 +39,8 @@ def validate_arithmetical(adjacency, multiplicities):
     n = len(adjacency)
     if n < 2:
         raise InvalidGraph("need at least two vertices")
-    if any(len(row) != n or any(type(a) is not int for a in row) for row in adjacency):
-        raise InvalidGraph("adjacency matrix must be square, with int entries (not bool)")
+    if any(len(row) != n or any(type(a) is not int or a < 0 for a in row) for row in adjacency):
+        raise InvalidGraph("adjacency matrix must be square, with nonnegative int entries (not bool)")
     if any(adjacency[i][j] != adjacency[j][i] for i in range(n) for j in range(n)):
         raise InvalidGraph("adjacency matrix must be symmetric")
     if any(adjacency[i][i] != 0 for i in range(n)):

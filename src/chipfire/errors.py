@@ -44,9 +44,9 @@ class NotPrimitive(ChipfireError):
 class BudgetExceeded(ChipfireError):
     """A search would pass, or has passed, its configured work budget.
 
-    ``count`` is how far it got: the candidates a box scan needs, the Dhar
-    runs a walk reached, or the residues a class table held when it passed
-    the budget; ``reached`` says which, in words.
+    ``count`` is how far it got, in one of six units: table residues, walk
+    Dhar runs, window classes, box candidates, ``arith star`` matrix cells
+    or oracle strategies; ``reached`` says which, in words.
     """
 
     def __init__(self, count, budget, reached):

@@ -107,36 +107,35 @@ def check_budget(need, budget, reached):
 def reduce(game, base, divisor):
     """A reduced divisor equivalent to the input, plus the strategy used.
 
-    The strategies f with f[base] = 0 that leave D - f F out of debt off the
-    base are closed under entrywise max, and their greatest, g, gives the
-    reduced divisor D - g F.  The Dhar loop started from t * S descends to g
-    once g <= t * S, so t doubles until the result is reduced.  The strategy
-    is 0 at the base; when every other f[v] <= (t - 1) * S[v], no valid
-    strategy lies above f and the reducedness check is skipped.
+    The valid strategies (0 at the base, D - f F out of debt off it) are
+    closed under entrywise max; their greatest, g, gives the reduced divisor
+    D - g F.  The Dhar loop from t * S returns phi(t), the greatest valid
+    strategy below t * S; t doubles until phi(t) <= (t - 1) * S, and then
+    phi(t) = g.  Proof: y = phi(t + 1) and y - S leave the same divisor
+    (S F = 0), so max(y - S, phi(t)) is valid and below t * S; hence
+    y - S <= phi(t) <= (t - 1) * S, so y <= t * S and y = phi(t).  By
+    induction phi is constant from t on, so it is g (reached once g <= t * S).
     """
     game.check_base(base)
     game.check_divisor(divisor)
-    period = game.period
     t = 1
     while True:
         f = _burn(game, base, divisor, start=t)
-        current = game.apply(divisor, f)
-        if all(x <= (t - 1) * s for x, s in zip(f, period)) or is_reduced(
-            game, base, current
-        ):
-            return current, tuple(f)
+        if all(x <= (t - 1) * s for x, s in zip(f, game.period)):
+            return game.apply(divisor, f), tuple(f)
         t *= 2
 
 
 def all_reduced_representatives(game, base, divisor):
     """The r0 = S[base] distinct reduced divisors equivalent to the input.
 
-    Collected from the Dhar trace witnesses of a reduced representative,
-    sorted lexicographically.
+    The witnesses of one burn from a reduced representative: D - f F before
+    each unit base decrement, sorted lexicographically.
     """
     reduced, _ = reduce(game, base, divisor)
-    trace = dhar(game, base, reduced)
-    reps = tuple(sorted(set(trace.reduced_witnesses)))
+    witnesses = []
+    _burn(game, base, reduced, witnesses=witnesses)
+    reps = tuple(sorted(set(witnesses)))
     if len(reps) != game.period[base]:
         raise AssertionError(
             f"expected {game.period[base]} representatives, found {len(reps)}"

@@ -75,6 +75,14 @@ def test_validate_rejects_entries_that_are_not_ints(adjacency, multiplicities):
         validate_arithmetical(adjacency, multiplicities)
 
 
+def test_validate_rejects_a_negative_adjacency_entry():
+    """This graph once passed with deltas (1, 1, 4) and g0 1."""
+    from chipfire.errors import InvalidGraph
+
+    with pytest.raises(InvalidGraph, match="nonnegative"):
+        validate_arithmetical([[0, -1, 2], [-1, 0, 2], [2, 2, 0]], (1, 1, 1))
+
+
 def test_validate_rejects_disconnected_base_graph():
     from chipfire.errors import InvalidGraph
 

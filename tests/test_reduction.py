@@ -3,7 +3,7 @@ from math import prod
 
 import pytest
 
-from chipfire import fixtures, oracle
+from chipfire import fixtures, oracle, reduction
 from chipfire.arithmetical import associated_digraph, chip_game
 from chipfire.divisor_algebra import equivalent
 from chipfire.errors import BudgetExceeded, DimensionError, NotSandpileForm
@@ -11,6 +11,7 @@ from chipfire.games import Game, column_game, row_game, scaled_game
 from chipfire.graph_core import build_digraph, period_vector
 from chipfire.rank_extremes import enumerate_extremes, rank
 from chipfire.reduction import (
+    _burn,
     all_reduced_representatives,
     column_reduce,
     dhar,
@@ -68,6 +69,66 @@ def test_reduce_large_entries_at_every_base(name, make, bound):
             assert is_reduced(game, base, red), (base, d)
             if exact:
                 assert oracle.reduced_bruteforce(game, base, red), (base, d)
+
+
+STOPPING_RULE_GAMES = [
+    ("row(k4u)", lambda: row_game(fixtures.k4u())),
+    ("row(b2)", lambda: row_game(fixtures.b2())),
+    ("column(t3)", lambda: column_game(fixtures.t3())),
+    ("column(p3)", lambda: column_game(fixtures.p3())),
+    ("column(ex_b)", lambda: column_game(associated_digraph(fixtures.ex_b()))),
+    ("chip(ex_b)", lambda: chip_game(fixtures.ex_b())),
+    ("chip(ex_c)", lambda: chip_game(fixtures.ex_c())),
+    ("chip(star(4,3))", lambda: chip_game(fixtures.star(4, 3))),
+]
+STOPPING_RULE_IDS = [name for name, _ in STOPPING_RULE_GAMES]
+
+
+@pytest.mark.parametrize("name,make", STOPPING_RULE_GAMES, ids=STOPPING_RULE_IDS)
+def test_burn_is_fixed_once_below_the_previous_multiple(name, make):
+    """Once the burn from t * S returns f <= (t - 1) * S off the base, the
+    burns from 2t * S and 4t * S return the same f: the lemma behind
+    reduce's one stopping rule."""
+    game = make()
+    rng = random.Random(name)
+    n, period = game.n_vertices, game.period
+    for base in range(n):
+        for _ in range(8):
+            d = tuple(rng.randint(-60, 60) for _ in range(n))
+            t = 1
+            while True:
+                f = _burn(game, base, d, start=t)
+                if all(f[v] <= (t - 1) * period[v] for v in range(n) if v != base):
+                    break
+                t *= 2
+            assert f[base] == 0
+            for k in (2, 4):
+                assert _burn(game, base, d, start=k * t) == f, (base, d, t, k)
+
+
+@pytest.mark.parametrize("name,make", STOPPING_RULE_GAMES, ids=STOPPING_RULE_IDS)
+def test_reduce_and_representatives_run_no_reducedness_check(name, make, monkeypatch):
+    """reduce stops on the bound alone and the representatives come from one
+    witness burn: neither calls is_reduced or builds a Dhar trace."""
+    def forbidden(*args):
+        raise AssertionError("called")
+
+    game = make()
+    rng = random.Random(name)
+    n = game.n_vertices
+    results = []
+    with monkeypatch.context() as patched:
+        patched.setattr(reduction, "is_reduced", forbidden)
+        patched.setattr(reduction, "dhar", forbidden)
+        for base in range(n):
+            for _ in range(4):
+                d = tuple(rng.randint(-60, 60) for _ in range(n))
+                results.append((base, d, reduce(game, base, d),
+                                all_reduced_representatives(game, base, d)))
+    for base, d, (red, strategy), reps in results:
+        assert strategy[base] == 0 and game.apply(d, strategy) == red
+        assert is_reduced(game, base, red) and red in reps
+        assert len(reps) == game.period[base]
 
 
 def test_dhar_rejects_negative_off_base():
