@@ -120,13 +120,14 @@ def cmd_reduce(args, game):
 
 def cmd_dhar(args, game):
     divisor = _divisor(args, game)
-    trace = reduction.dhar(game, args.base, divisor)
+    witnesses = []
+    terminal = reduction._burn(game, args.base, divisor, witnesses=witnesses)
     _emit(
         {
-            "terminal": list(trace.terminal),
-            "reduced": not any(trace.terminal),
-            "witnesses": [list(w) for w in trace.reduced_witnesses],
-            "steps": sum(game.period) - sum(trace.terminal),
+            "terminal": terminal,
+            "reduced": not any(terminal),
+            "witnesses": [list(w) for w in witnesses],
+            "steps": sum(game.period) - sum(terminal),
         }
     )
     return 0

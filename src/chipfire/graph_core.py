@@ -159,8 +159,10 @@ class LatticeHandle:
             pivots.append((col, row))
         self.pivots = tuple((c, tuple(r)) for c, r in pivots)
         self.rank = len(pivots)
-        # Column v -> the pivots from column v on; a free column has none.
-        self._pivots_from = {c: self.pivots[i:] for i, (c, _) in enumerate(self.pivots)}
+        # Per pivot: (column, pivot entry, nonzero (index, entry) pairs right of it).
+        self._tails = tuple((c, r[c], tuple((i, b) for i, b in enumerate(r) if i > c and b))
+                            for c, r in pivots)
+        self._position = {c: i for i, (c, _) in enumerate(pivots)}  # a free column has none
 
     def contains(self, x):
         """True iff x (int or Fraction entries) is an integer combination of generators."""
@@ -174,10 +176,12 @@ class LatticeHandle:
         Two integer vectors have the same residue iff they are equivalent.
         """
         rem = list(x)
-        for col, row in self.pivots:
-            q = rem[col] // row[col]
+        for col, p, tail in self._tails:
+            q = rem[col] // p
             if q:
-                rem = [a - q * b for a, b in zip(rem, row)]
+                rem[col] -= q * p
+                for i, b in tail:
+                    rem[i] -= q * b
         return tuple(rem)
 
     def bump(self, res, v, k):
@@ -189,13 +193,14 @@ class LatticeHandle:
         """
         rem = list(res)
         rem[v] += k
-        tail = self._pivots_from.get(v, ())
-        if tail and 0 <= rem[v] < tail[0][1][v]:
-            return tuple(rem)
-        for col, row in tail:
-            q = rem[col] // row[col]
-            if q:
-                rem = [a - q * b for a, b in zip(rem, row)]
+        start = self._position.get(v)
+        if start is not None and not 0 <= rem[v] < self._tails[start][1]:
+            for col, p, tail in self._tails[start:]:
+                q = rem[col] // p
+                if q:
+                    rem[col] -= q * p
+                    for i, b in tail:
+                        rem[i] -= q * b
         return tuple(rem)
 
     def kernel(self):
@@ -208,9 +213,8 @@ class LatticeHandle:
         corank = self.dim - self.rank
         if corank != 1:
             raise ValueError(f"kernel needs corank 1, basis has corank {corank}")
-        pivot_cols = {c for c, _ in self.pivots}
         x = [0] * self.dim
-        x[next(c for c in range(self.dim) if c not in pivot_cols)] = 1
+        x[next(c for c in range(self.dim) if c not in self._position)] = 1
         for col, row in reversed(self.pivots):
             rest = sum(a * b for a, b in zip(row[col + 1:], x[col + 1:]))
             g = gcd(row[col], rest)

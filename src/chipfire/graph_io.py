@@ -1,6 +1,7 @@
 """JSON graph formats and divisor literals for the command line."""
 
 import json
+import re
 from itertools import chain
 
 from .arithmetical import validate_arithmetical
@@ -56,9 +57,11 @@ def load_graph(path):
 
 
 def parse_divisor(text, n_vertices):
-    """Comma-separated integer literal, e.g. '-1,0,1,1,1,0'."""
+    """Comma-separated literal of ASCII integers, e.g. '-1,0,+1,1,1,0'."""
     parts = [p.strip() for p in text.split(",")]
     try:
+        if not all(re.fullmatch("[+-]?[0-9]+", p) for p in parts):
+            raise ValueError("not an optionally signed run of ASCII digits")
         entries = tuple(int(p) for p in parts)
     except ValueError as exc:
         raise InvalidGraph(f"bad divisor literal {text!r}") from exc

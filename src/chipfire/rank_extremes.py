@@ -103,11 +103,11 @@ def rank(game, base, divisor):
     degree come from the one-chip recursion, from Eff_0 = {0} up.
 
     Past twice cut = sum_{v != base} (F[v][v] - 1) w_v - w_base the rank is
-    deg D - g_max.  A reduced representative lies in the stable box, so every
-    class of degree above cut is effective and Sigma's top degree T = g_max - 1
-    (a top Sigma class is extreme) is at most cut.  If D - E is in Sigma then
-    deg E >= deg D - T; and for a top extreme class c, [D] - c has degree
-    deg D - T > T, so it holds an effective E with D - E in c.
+    deg D - g_max, with g_max = T + 1 from ``_sigma_top``.  A reduced
+    representative lies in the stable box, so every class of degree above cut
+    is effective and T <= cut.  If D - E is in Sigma then deg E >= deg D - T;
+    and for a class c of Sigma of degree T, [D] - c has degree deg D - T > T,
+    so it holds an effective E with D - E in c.
     """
     game.check_base(base)
     game.check_divisor(divisor)
@@ -117,11 +117,9 @@ def rank(game, base, divisor):
         return memo[res]
     weight = game.weight
     deg = degree(weight, res)
-    cut = sum(
-        (game.threshold(v) - 1) * w for v, w in enumerate(weight) if v != base
-    ) - weight[base]
+    cut = sum((game.threshold(v) - 1) * w for v, w in enumerate(weight) if v != base) - weight[base]
     if deg > 2 * cut:
-        value = deg - enumerate_extremes(game, base).g_max
+        value = deg - _sigma_top(game) - 1
     else:
         value = None
         d = 0
@@ -150,42 +148,50 @@ def is_extreme(game, base, divisor):
     return True
 
 
-def enumerate_extremes(game, base, budget=DEFAULT_BUDGET):
-    """All extreme classes, the local maxima of Sigma, from the class table.
+def _sigma_top(game, budget=DEFAULT_BUDGET):
+    """Sigma's top degree T, the highest attainable degree not full; g_max = T + 1.
 
-    A class c is extreme iff c is not effective and c + e_u is for every u.
-    The table Eff_d of effective classes grows from degree 0 until a run of
-    full degrees (each holding every class of its degree) spans the largest
-    weight: every class of a higher degree is then some full class plus one
-    chip, so every degree above the run's start is full.  An extreme c has
-    c + e_v0 effective, so the candidates are c' - e_v0 over the table, with
-    v0 of least weight.  No Dhar burn runs until each extreme class's reduced
-    representatives are collected.
-
-    The base is checked, then the budget (ValueError if negative); the budget
-    bounds the residues the table holds, checked after each degree it adds.
-    ``rep`` is the least reduced representative with -1 at the base.  One
-    exists: reducedness ignores the base entry, so an effective reduced
-    representative E of c + e_base gives the reduced E - e_base of c, and
-    its base entry E(base) - 1 < 0 as c is not effective.
+    Eff_d grows from degree 0 until a run of full degrees (each holding every
+    class of its degree) spans the largest weight; every higher class is then
+    a full class plus one chip, so all degrees past the run's start are full.
+    No extreme class lies above T, where all are effective; a class of degree
+    T that is not effective is extreme, as one more chip lands on a full
+    degree.  The budget (ValueError if negative) bounds the residues held.
     """
-    game.check_base(base)
-    lat = game.lattice
-    weight = game.weight
-    step = gcd(*weight)
+    step = gcd(*game.weight)
     full = _classes_per_degree(game)
     held = run = d = 0
-    while run * step < max(weight):
+    while run * step < max(game.weight):
         size = len(_effective_classes_by_degree(game, d))
         held += size
         check_budget(held, budget, f"class table size {held} after degree {d}")
         run = run + 1 if size == full else 0
         d += step
-    top = d - (run + 1) * step  # the highest degree that is not full
+    return d - (run + 1) * step
+
+
+def enumerate_extremes(game, base, budget=DEFAULT_BUDGET):
+    """All extreme classes, the local maxima of Sigma, from the class table.
+
+    A class c is extreme iff c is not effective and c + e_u is for every u.
+    The base is checked, then ``_sigma_top`` builds the table and checks the
+    budget.  An extreme c has c + e_v0 effective, so the candidates are
+    c' - e_v0 over the table, with v0 of least weight.  No Dhar burn runs
+    until each extreme class's reduced representatives are collected.
+    ``rep`` is the least reduced representative with -1 at the base: one
+    exists, as reducedness ignores the base entry, so an effective reduced
+    representative E of c + e_base gives the reduced E - e_base of c, with
+    base entry E(base) - 1 < 0 as c is not effective.
+    """
+    game.check_base(base)
+    top = _sigma_top(game, budget)
+    lat = game.lattice
+    weight = game.weight
+    full = _classes_per_degree(game)
     table = game.eff_class_cache
     v0 = min(range(game.n_vertices), key=weight.__getitem__)
     classes = []
-    for j in range(0, top + weight[v0] + 1, step):
+    for j in range(top + weight[v0] + 1):  # empty off the multiples of gcd(w)
         k = j - weight[v0]
         for above in table[j]:
             c = lat.bump(above, v0, -1)

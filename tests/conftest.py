@@ -1,5 +1,14 @@
 """Shared helpers: small game collections and exhaustive divisor boxes."""
 
+import os
+import sys
+
+# No bytecode cache under src/: a cached tree imports in under half the time,
+# which would skew the benchmark's setup_s on the next run.  The environment
+# variable carries this to the subprocesses the tests start.
+sys.dont_write_bytecode = True
+os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
+
 import random
 from itertools import product
 

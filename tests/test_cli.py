@@ -179,6 +179,43 @@ def test_dhar_steps_count_unit_decrements(capsys, exb_file, divisor, terminal, s
     assert doc["steps"] == steps
 
 
+def test_dhar_prints_the_full_trace_terminal_and_witnesses(capsys, exb_file):
+    """The command burns without recording steps; what it prints matches
+    reduction.dhar's full trace."""
+    from chipfire import fixtures
+    from chipfire.arithmetical import chip_game
+    from chipfire.reduction import dhar
+
+    game = chip_game(fixtures.ex_b())
+    for divisor in [(0,) * 6, (2, 1, 1, 1, 1, 1), (-3, 0, 5, 2, 0, 7), (40, 1, 0, 9, 3, 2)]:
+        trace = dhar(game, 0, divisor)
+        code, doc = run(capsys, ["dhar", exb_file, "--divisor=" + ",".join(map(str, divisor))])
+        assert code == 0
+        assert doc == {
+            "terminal": list(trace.terminal),
+            "reduced": not any(trace.terminal),
+            "witnesses": [list(w) for w in trace.reduced_witnesses],
+            "steps": sum(game.period) - sum(trace.terminal),
+        }
+
+
+@pytest.mark.parametrize("literal", ["1_0,0,0", "\u0663,0,0", "1.0,0,0", "+-1,0,0", "1 0,0,0"],
+                         ids=["underscore", "arabic-indic-digit", "point", "two-signs", "inner-space"])
+def test_divisor_literal_takes_only_ascii_integers(capsys, t3_file, literal):
+    """int() reads '1_0' as 10 and the Arabic-Indic digit three as 3;
+    neither is a divisor literal."""
+    assert main(["rank", t3_file, f"--divisor={literal}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bad divisor literal" in captured.err
+
+
+def test_divisor_literal_takes_signs_and_surrounding_spaces(capsys, t3_file):
+    _, plain = run(capsys, ["dhar", t3_file, "--divisor=1,0,2"])
+    _, spaced = run(capsys, ["dhar", t3_file, "--divisor= +1 ,-0,  2 "])
+    assert plain is not None and spaced == plain
+
+
 @pytest.mark.parametrize("base", ["7", "-1"])
 @pytest.mark.parametrize("command,divisor", [
     (["dhar"], "0,0,0"),

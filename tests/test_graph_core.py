@@ -265,3 +265,125 @@ def test_bump_is_the_residue_of_one_chip_more_or_less(lattice, entries, k):
         moved = list(res)
         moved[v] += k
         assert lattice.bump(res, v, k) == lattice.residue(moved), v
+
+
+def dense_residue(lattice, x):
+    """Reference: subtract q times the whole pivot row, all n entries."""
+    rem = list(x)
+    for col, row in lattice.pivots:
+        q = rem[col] // row[col]
+        if q:
+            rem = [a - q * b for a, b in zip(rem, row)]
+    return tuple(rem)
+
+
+def _fixture_games():
+    """Row and column games of every fixture digraph and associated digraph,
+    and the chip game of every arithmetical fixture."""
+    from chipfire.arithmetical import associated_digraph, chip_game
+    from chipfire.games import column_game
+
+    arith = [
+        ("ex_a", fixtures.ex_a()), ("ex_b", fixtures.ex_b()), ("ex_c", fixtures.ex_c()),
+        ("ec(3)", fixtures.ec(3)), ("ec(4)", fixtures.ec(4)),
+        ("uniform_only", fixtures.uniform_only()), ("two_vertex(2,3)", fixtures.two_vertex(2, 3)),
+        ("cycle_mult(3)", fixtures.cycle_mult(3)), ("star(4,3)", fixtures.star(4, 3)),
+    ]
+    digraphs = [(name, getattr(fixtures, name)()) for name in ("t3", "b2", "p3", "k4u")]
+    digraphs += [(f"assoc({name})", associated_digraph(ag)) for name, ag in arith]
+    for name, g in digraphs:
+        yield f"row({name})", row_game(g)
+        yield f"col({name})", column_game(g)
+    for name, ag in arith:
+        yield f"chip({name})", chip_game(ag)
+
+
+def _seeded_games():
+    """Row and column games of 20 seeded strongly connected digraphs, n <= 7."""
+    from chipfire.games import column_game
+
+    rng = random.Random(20261021)
+    found = 0
+    while found < 20:
+        n = rng.randint(2, 7)
+        arcs = [(i, j, rng.randint(1, 4)) for i in range(n) for j in range(n)
+                if i != j and rng.random() < 0.4]
+        if not arcs:
+            continue
+        g = build_digraph(arcs, n_vertices=n)
+        if is_strongly_connected(g):
+            yield f"seed {found} row", row_game(g)
+            yield f"seed {found} col", column_game(g)
+            found += 1
+
+
+GAME_LATTICES = [(name, game.firing_rows, game.lattice)
+                 for name, game in [*_fixture_games(), *_seeded_games()]]
+
+
+@pytest.mark.parametrize("name,gens,lattice", GAME_LATTICES, ids=[n for n, _, _ in GAME_LATTICES])
+def test_residue_matches_the_dense_reference(name, gens, lattice):
+    """Small entries, entries in the range of the class tables, and entries
+    up to 10^18."""
+    rng = random.Random(name)
+    for scale in (3, 60, 10**9, 10**18):
+        for _ in range(25):
+            x = tuple(rng.randint(-scale, scale) for _ in range(lattice.dim))
+            assert lattice.residue(x) == dense_residue(lattice, x), x
+
+
+BUMP_CASES = GAME_LATTICES + [(f"bump {i}", None, lat) for i, lat in enumerate(BUMP_LATTICES)]
+
+
+@pytest.mark.parametrize("name,gens,lattice", BUMP_CASES, ids=[n for n, _, _ in BUMP_CASES])
+def test_bump_is_the_dense_residue_of_one_chip_more_or_less_at_every_column(name, gens, lattice):
+    """Every column, so the free one of each game lattice and the free
+    middle column of the last hand-made lattice too."""
+    assert len({c for c, _ in lattice.pivots}) < lattice.dim
+    rng = random.Random(name)
+    for scale in (60, 10**18):
+        for _ in range(8):
+            res = dense_residue(lattice, [rng.randint(-scale, scale) for _ in range(lattice.dim)])
+            for v in range(lattice.dim):
+                for k in (1, -1):
+                    moved = list(res)
+                    moved[v] += k
+                    assert lattice.bump(res, v, k) == dense_residue(lattice, moved), (res, v, k)
+
+
+# The pivots of three of the lattices above, written out.
+PINNED_PIVOTS = {
+    "row(k4u)": ((0, (1, 1, 1, -3)), (1, (0, 4, 0, -4)), (2, (0, 0, 4, -4))),
+    "col(b2)": ((0, (1, -2)),),
+    "chip(star(4,3))": (
+        (0, (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -4)),
+        (1, (0, 1, 0, 0, 0, 0, 3, 0, 0, 3, 0, 0, -9)),
+        (2, (0, 0, 1, 0, 0, 0, 2, 0, 0, 2, 0, 0, -6)),
+        (3, (0, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, -3)),
+        (4, (0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, -4)),
+        (5, (0, 0, 0, 0, 0, 1, 2, 0, 0, 0, 0, 0, -4)),
+        (6, (0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, -4)),
+        (7, (0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 0, -4)),
+        (8, (0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 0, 0, -4)),
+        (9, (0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, -4)),
+        (10, (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, -3)),
+        (11, (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -2)),
+    ),
+}
+
+
+@pytest.mark.parametrize("name,gens,lattice", GAME_LATTICES, ids=[n for n, _, _ in GAME_LATTICES])
+def test_pivots_stay_the_reduced_hermite_basis_of_the_firing_rows(name, gens, lattice):
+    """The reduced Hermite basis of a lattice is unique, so a basis in that
+    form in which every firing row reduces to zero is the one the pivots
+    held before the sparse tails."""
+    pivots = lattice.pivots
+    assert LatticeHandle(gens).pivots == pivots
+    cols = [c for c, _ in pivots]
+    assert cols == sorted(set(cols)) and len(cols) == lattice.dim - 1
+    for i, (col, row) in enumerate(pivots):
+        assert row[col] > 0 and not any(row[:col])
+        assert all(0 <= upper[col] < row[col] for _, upper in pivots[:i])
+    assert not any(any(dense_residue(lattice, g)) for g in gens)
+    if name in PINNED_PIVOTS:
+        assert pivots == PINNED_PIVOTS[name]

@@ -10,8 +10,10 @@ from chipfire.arithmetical import associated_digraph, chip_game
 from chipfire.divisor_algebra import degree
 from chipfire.errors import InvalidBase
 from chipfire.games import column_game, row_game
+from chipfire import rank_extremes
 from chipfire.rank_extremes import (
     _effective_classes_by_degree,
+    _sigma_top,
     enumerate_extremes,
     in_sigma,
     is_extreme,
@@ -239,3 +241,29 @@ def test_rank_is_degree_minus_g_max_above_twice_the_top_sigma_degree(name, game)
     for target in [*range(2 * g_max - 1, 2 * g_max + 3), 10**6, 10**20]:
         d = divisor_of_degree(rng, game, 0, target)
         assert rank(game, 0, d) == target - g_max, d
+
+
+@pytest.mark.parametrize("name,game", small_games())
+def test_sigma_top_is_one_below_g_max(name, game):
+    """The highest degree the class table finds not full is the top degree
+    of the extreme classes, at every base."""
+    for base in range(game.n_vertices):
+        assert _sigma_top(game) + 1 == enumerate_extremes(game, base).g_max, base
+
+
+def test_rank_past_twice_the_cut_reads_g_max_from_the_class_table(monkeypatch):
+    """col(ex_b) at base 0 has cut 104 and g_max 54.  Past 2 cut the rank is
+    deg D - 54, read from the class table without collecting any extreme
+    class's reduced representatives (each new class once reran the whole
+    extreme-class search for g_max)."""
+    def collect(*args):
+        raise AssertionError("all_reduced_representatives called")
+
+    game = column_game(associated_digraph(fixtures.ex_b()))
+    assert stable_box_cut(game, 0) == 104
+    rng = random.Random(20261021)
+    with monkeypatch.context() as patch:
+        patch.setattr(rank_extremes, "all_reduced_representatives", collect)
+        for target in range(209, 217):
+            assert rank(game, 0, divisor_of_degree(rng, game, 0, target)) == target - 54
+    assert enumerate_extremes(game, 0).g_max == 54

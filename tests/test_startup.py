@@ -82,3 +82,11 @@ def test_records_are_immutable_values_with_their_fields_in_order(cls, fields):
         with pytest.raises(AttributeError):
             setattr(record, name, None)
     assert record._replace(**{fields[0]: None}) != record
+
+
+def test_the_suite_writes_no_bytecode():
+    """conftest.py turns bytecode writing off in this process and, through
+    the environment, in every subprocess the tests start, so a test run
+    leaves no __pycache__ under src/."""
+    assert sys.dont_write_bytecode is True
+    assert os.environ["PYTHONDONTWRITEBYTECODE"] == "1"
