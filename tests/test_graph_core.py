@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from chipfire import fixtures
 from chipfire.errors import InvalidGraph, NotStronglyConnected
-from chipfire.games import row_game
+from chipfire.games import column_game, row_game
 from chipfire.graph_core import (
     DirectedMultigraph,
     LatticeHandle,
@@ -281,7 +281,6 @@ def _fixture_games():
     """Row and column games of every fixture digraph and associated digraph,
     and the chip game of every arithmetical fixture."""
     from chipfire.arithmetical import associated_digraph, chip_game
-    from chipfire.games import column_game
 
     arith = [
         ("ex_a", fixtures.ex_a()), ("ex_b", fixtures.ex_b()), ("ex_c", fixtures.ex_c()),
@@ -300,8 +299,6 @@ def _fixture_games():
 
 def _seeded_games():
     """Row and column games of 20 seeded strongly connected digraphs, n <= 7."""
-    from chipfire.games import column_game
-
     rng = random.Random(20261021)
     found = 0
     while found < 20:
